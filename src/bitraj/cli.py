@@ -13,6 +13,7 @@ records which); 2 — the config was rejected or a size/dimension guard fired.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -26,20 +27,20 @@ import numpy as np
 from .coarse import (
     CoarseSchedule,
     Resolution,
-    coarse_device,
     faux_coarse_prob,
     interference_term,
     pairwise_decompose,
     quantum_coarse_prob,
 )
 from .composite import Coupling, co_interference, factorization_delta
-from .core import Device, State, SystemSpec, device_from_hermitian, validate_device
+from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian, validate_device
 from .engine import (
     BiSequence,
     ConsistencyError,
     Schedule,
     TableSizeError,
     biprob_table,
+    chain_probabilities,
     property_report,
 )
 from .lab import empirical_distribution, estimate_uncertainty, sample_sequences
@@ -480,11 +481,8 @@ def _build_coarse_schedule(
 
 def _as_plain_schedule(cs: CoarseSchedule, where: str = "/schedule") -> Schedule:
     """Fold resolutions into coarse devices; requires strictly increasing times."""
-    entries = []
-    for t, dev, res in cs.entries:
-        entries.append((t, dev if res is None else coarse_device(dev, res)))
     try:
-        return Schedule(entries=tuple(entries), init=cs.init)
+        return Schedule(entries=tuple(zip(cs.times, cs.devices)), init=cs.init)
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
 
@@ -939,20 +937,14 @@ def _cmd_sample(ctx: _Context) -> None:
         }
     )
 
-    cells = 1
-    per_entry = []
-    for t, dev, res in cs.entries:
-        outs = tuple(res.block_labels) if res is not None else tuple(dev.outcomes)
-        per_entry.append(outs)
-        cells *= len(outs)
-    if cells <= 4096:
+    if math.prod(dev.n_outcomes for dev in cs.devices) <= 4096:
         worst_zero = 0.0
         within = 0
         total_checked = 0
-        import itertools as _it
-
-        for seq in _it.product(*per_entry):
-            p = quantum_coarse_prob(system, cs, seq)
+        steps = [(t, dev.projectors) for t, dev in zip(cs.times, cs.devices)]
+        probs = chain_probabilities(system, cs.init, steps)
+        cells = itertools.product(*(dev.outcomes for dev in cs.devices))
+        for seq, p in zip(cells, probs.tolist()):
             p_hat = dist.probabilities.get(seq, 0.0)
             if p <= 1e-300 and p_hat > 0.0:
                 worst_zero = max(worst_zero, p_hat)
@@ -1048,6 +1040,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for name in ("BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"):
+            try:
+                _env_cap(name)
+            except ValueError as exc:
+                raise CliError(str(exc)) from None
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)

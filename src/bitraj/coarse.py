@@ -10,8 +10,8 @@ when everything commutes) do the two routes agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .engine import (
     ConsistencyError,
     Schedule,
     biprob,
+    chain_probabilities,
     chain_probability,
 )
 
@@ -118,7 +119,9 @@ class CoarseSchedule:
     """Schedule whose entries may carry a resolution (None = fine readout).
 
     Times are non-decreasing; equal times mean back-to-back projections with
-    no propagation in between.
+    no propagation in between.  Reads like a ``Schedule`` through ``times``,
+    ``devices`` (each resolution folded in by ``coarse_device``), ``init``
+    and ``digest``.
     """
 
     entries: tuple[tuple[float, Device, Resolution | None], ...]
@@ -142,6 +145,19 @@ class CoarseSchedule:
     def __len__(self) -> int:
         return len(self.entries)
 
+    @property
+    def times(self) -> tuple[float, ...]:
+        return tuple(t for t, _, _ in self.entries)
+
+    @cached_property
+    def devices(self) -> tuple[Device, ...]:
+        return tuple(
+            dev if res is None else coarse_device(dev, res) for _, dev, res in self.entries
+        )
+
+    digest_payload = Schedule.digest_payload
+    digest = Schedule.digest
+
     @classmethod
     def from_schedule(cls, schedule: Schedule,
                       resolutions: Sequence[Resolution | None] | None = None) -> "CoarseSchedule":
@@ -153,12 +169,6 @@ class CoarseSchedule:
         return cls(entries=entries, init=schedule.init)
 
 
-def _effective_projector(dev: Device, res: Resolution | None, label: Label) -> np.ndarray:
-    if res is None:
-        return dev.projector_for(label)
-    return res.block_projector(label)
-
-
 def quantum_coarse_prob(
     system: SystemSpec, schedule: CoarseSchedule, outcomes: Sequence[Label]
 ) -> float:
@@ -166,8 +176,8 @@ def quantum_coarse_prob(
     if len(outcomes) != len(schedule):
         raise ValueError("one readout per entry required")
     steps = [
-        (t, _effective_projector(dev, res, f))
-        for (t, dev, res), f in zip(schedule.entries, outcomes)
+        (t, dev.projector_for(f))
+        for t, dev, f in zip(schedule.times, schedule.devices, outcomes)
     ]
     return chain_probability(system, schedule.init, steps)
 
@@ -178,26 +188,11 @@ def faux_coarse_prob(
     """Block-sum of fine probabilities: measure fine, add up within blocks afterwards."""
     if len(outcomes) != len(schedule):
         raise ValueError("one readout per entry required")
-    choices: list[tuple[Label, ...]] = []
+    steps = []
     for (t, dev, res), f in zip(schedule.entries, outcomes):
-        choices.append(res.members(f) if res is not None else (f,))
-    total = 0.0
-    for fine in _product(choices):
-        steps = [
-            (t, dev.projector_for(f))
-            for (t, dev, res), f in zip(schedule.entries, fine)
-        ]
-        total += chain_probability(system, schedule.init, steps)
-    return total
-
-
-def _product(choices: Sequence[Sequence[Label]]):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (head,) + rest
+        members = res.members(f) if res is not None else (f,)
+        steps.append((t, [dev.projector_for(m) for m in members]))
+    return float(chain_probabilities(system, schedule.init, steps).sum())
 
 
 class InterferenceTerm(NamedTuple):
@@ -339,31 +334,12 @@ def extreme_coarse_delta(system: SystemSpec, schedule: Schedule, position: int) 
     should vanish (to round-off) for every assignment of the remaining
     readouts.
     """
-    n = len(schedule)
-    if not 0 <= position < n:
+    if not 0 <= position < len(schedule):
         raise IndexError(f"position {position} out of range")
-    if n == 1:
-        # the deleted schedule is empty: the coarse value must be 1
-        dev = schedule.devices[0]
-        full = sum(dev.projectors)
-        p = chain_probability(system, schedule.init, [(schedule.times[0], full)])
-        return abs(p - 1.0)
-    others = [dev.outcomes for j, (t, dev) in enumerate(schedule.entries) if j != position]
-    delta = 0.0
-    dev_pos = schedule.devices[position]
-    full_proj = sum(dev_pos.projectors)
-    for rest in _product(others):
-        readout = list(rest[:position]) + [None] + list(rest[position:])
-        steps = []
-        short_steps = []
-        for j, (t, dev) in enumerate(schedule.entries):
-            if j == position:
-                steps.append((t, full_proj))
-            else:
-                proj = dev.projector_for(readout[j])
-                steps.append((t, proj))
-                short_steps.append((t, proj))
-        p_coarse = chain_probability(system, schedule.init, steps)
-        p_short = chain_probability(system, schedule.init, short_steps)
-        delta = max(delta, abs(p_coarse - p_short))
-    return delta
+    steps = [(t, dev.projectors) for t, dev in schedule.entries]
+    short_steps = steps[:position] + steps[position + 1:]
+    t, dev = schedule.entries[position]
+    steps[position] = (t, (sum(dev.projectors),))
+    p_coarse = chain_probabilities(system, schedule.init, steps)
+    p_short = chain_probabilities(system, schedule.init, short_steps)
+    return float(np.abs(p_coarse - p_short).max())

@@ -11,6 +11,7 @@ conjugation with the propagator, ``P_t(f) = U(t,0)^dag P(f) U(t,0)`` with
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -59,14 +60,22 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dim_cap() -> int:
-    raw = os.environ.get("BITRAJ_MAX_DIM", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_DIM_CAP
+def _env_cap(name: str) -> int | None:
+    """Positive integer read from environment variable ``name``; None when unset.
+
+    Float spellings of whole numbers (``1e6``) are accepted; anything else that
+    is not a positive integer raises ``ValueError`` naming the variable.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (value.is_integer() and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +91,7 @@ class SystemSpec:
         h = _as_complex_matrix(self.hamiltonian, "hamiltonian")
         if h.shape[0] != self.dim:
             raise ValueError(f"hamiltonian shape {h.shape} does not match dim {self.dim}")
-        cap = _dim_cap()
+        cap = _env_cap("BITRAJ_MAX_DIM") or DEFAULT_DIM_CAP
         if self.dim > cap and not self.allow_large:
             raise ValueError(
                 f"dimension {self.dim} exceeds the cap {cap}; pass allow_large=True "
@@ -100,11 +109,14 @@ def _system_eig(system: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _expm_herm(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """``exp(-1j * scale * H)`` from the eigendecomposition ``H = v diag(w) v^dag``."""
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+
+
 def propagator(system: SystemSpec, t: float, t0: float = 0.0) -> np.ndarray:
     """Unitary ``exp(-i (t - t0) H)``, computed through the eigendecomposition."""
-    w, v = _system_eig(system)
-    phases = np.exp(-1j * (t - t0) * w)
-    return (v * phases) @ v.conj().T
+    return _expm_herm(*_system_eig(system), t - t0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +213,23 @@ def validate_device(device: Device, tol: float = 1e-10) -> None:
                 )
 
 
+def _eigen_groups(w: np.ndarray, tol: float | None = None) -> list[list[int]]:
+    """Runs of ascending eigenvalues whose neighbours lie within ``tol``.
+
+    The default tolerance is ``DEGENERACY_RTOL`` times the spectral range (at
+    least 1); consecutive gaps chain, so a group may span more than ``tol``.
+    """
+    if tol is None:
+        tol = DEGENERACY_RTOL * max(float(w[-1] - w[0]), 1.0)
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
 def device_from_hermitian(observable, name: str, tol: float | None = None) -> Device:
     """Spectral device of a Hermitian matrix.
 
@@ -212,15 +241,7 @@ def device_from_hermitian(observable, name: str, tol: float | None = None) -> De
     obs = _as_complex_matrix(observable, "observable")
     _check_hermitian(obs, "observable")
     w, v = np.linalg.eigh(obs)
-    spread = float(w[-1] - w[0])
-    if tol is None:
-        tol = DEGENERACY_RTOL * max(spread, 1.0)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    groups = _eigen_groups(w, tol)
     outcomes = []
     projectors = []
     for g in groups:

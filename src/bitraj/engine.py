@@ -18,13 +18,13 @@ sequences.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Device, Label, State, SystemSpec, heisenberg_projectors, propagator
+from . import core
+from .core import Device, Label, State, SystemSpec, _env_cap, propagator
 from .serialize import canonical_digest, label_to_json, matrix_to_json
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "TableSizeError",
     "biprob",
     "biprob_table",
+    "chain_probabilities",
     "chain_probability",
     "gudder_metric",
     "marginalize_pair",
@@ -48,13 +49,7 @@ DEFAULT_MAX_TABLE_ENTRIES = 10_000_000
 
 
 def max_table_entries() -> int:
-    raw = os.environ.get("BITRAJ_MAX_TABLE", "")
-    if raw:
-        try:
-            return int(float(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MAX_TABLE_ENTRIES
+    return _env_cap("BITRAJ_MAX_TABLE") or DEFAULT_MAX_TABLE_ENTRIES
 
 
 class ConsistencyError(RuntimeError):
@@ -71,6 +66,12 @@ class TableSizeError(ValueError):
             f"enumeration size {requested} exceeds the guard {limit}; "
             "set BITRAJ_MAX_TABLE or pass force_large=True if this is intended"
         )
+
+
+def _guard(count: int, force_large: bool = False) -> None:
+    """Refuse an enumeration of ``count`` entries beyond ``max_table_entries()``."""
+    if not force_large and count > max_table_entries():
+        raise TableSizeError(count, max_table_entries())
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class Schedule:
                     "outcomes": [label_to_json(o) for o in dev.outcomes],
                     "projectors": [matrix_to_json(p) for p in dev.projectors],
                 }
-                for t, dev in self.entries
+                for t, dev in zip(self.times, self.devices)
             ],
         }
 
@@ -221,6 +222,52 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def _leaves(
+    system: SystemSpec,
+    init: State,
+    steps: Sequence[tuple[float, Sequence[np.ndarray]]],
+    propagator: Callable[[float], np.ndarray] | None = None,
+) -> np.ndarray:
+    """``W(f) = P_{t_n}(f_n) ... P_{t_1}(f_1) sqrt(rho)`` for every outcome sequence.
+
+    ``steps`` holds (time, reference-time projector family) pairs in
+    non-decreasing time order; the result has shape (N, d, d) with the
+    sequences in mixed-radix order, first step most significant.
+    ``propagator(t) -> U(t, 0)`` replaces the system's own evolution.
+    """
+    d = system.dim
+    leaves = _sqrt_psd(init.density).reshape(1, d, d)
+    t_prev = None
+    for t, projs in steps:
+        if t_prev is not None and t < t_prev - 1e-15:
+            raise ValueError("chain times must be non-decreasing")
+        t_prev = t
+        u = core.propagator(system, t) if propagator is None else propagator(t)
+        ud = u.conj().T
+        # new code = old_code * r + outcome_index
+        stacked = np.stack([(ud @ p @ u) @ leaves for p in projs], axis=1)
+        leaves = stacked.reshape(-1, d, d)
+    return leaves
+
+
+def chain_probabilities(
+    system: SystemSpec,
+    init: State,
+    steps: Sequence[tuple[float, Sequence[np.ndarray]]],
+    propagator: Callable[[float], np.ndarray] | None = None,
+) -> np.ndarray:
+    """``chain_probability`` of every sequence through per-step projector families.
+
+    Entry k belongs to the sequence whose mixed-radix code (first step most
+    significant) is k.  The leaves it enumerates (N sequences times d^2
+    entries) must fit ``max_table_entries()``.
+    """
+    count = math.prod(len(projs) for _, projs in steps)
+    _guard(count * system.dim * system.dim)
+    flat = _leaves(system, init, steps, propagator).reshape(count, -1)
+    return np.einsum("ij,ij->i", flat, flat.conj()).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,19 +373,10 @@ def biprob_table(
     squared) must stay at or below ``max_table_entries()`` unless
     ``force_large`` is set.
     """
-    radices = [dev.n_outcomes for dev in schedule.devices]
-    total = math.prod(radices)
-    if not force_large and total * total > max_table_entries():
-        raise TableSizeError(total * total, max_table_entries())
-
-    d = system.dim
-    leaves = _sqrt_psd(schedule.init.density).reshape(1, d, d)
-    for t, dev in schedule.entries:
-        projs = heisenberg_projectors(system, dev, t)
-        # new code = old_code * r + outcome_index
-        stacked = np.stack([p @ leaves for p in projs], axis=1)
-        leaves = stacked.reshape(-1, d, d)
-    flat = leaves.reshape(total, d * d)
+    total = math.prod(dev.n_outcomes for dev in schedule.devices)
+    _guard(total * total, force_large)
+    steps = [(t, dev.projectors) for t, dev in schedule.entries]
+    flat = _leaves(system, schedule.init, steps).reshape(total, -1)
     matrix = flat @ flat.conj().T
     return BiProbTable(system=system, schedule=schedule, matrix=matrix)
 

@@ -21,8 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .coarse import CoarseSchedule, Resolution, _effective_projector
-from .core import Device, Label, State, SystemSpec, propagator
+from .coarse import CoarseSchedule, Resolution
+from .core import Device, Label, State, SystemSpec, heisenberg_projectors
 from .engine import Schedule
 from .phenomena import uncertainty_matrix
 from .serialize import label_to_json
@@ -108,27 +108,6 @@ def empirical_distribution(run: SampleRun) -> EmpiricalDist:
     return EmpiricalDist(probabilities=probs, std_errors=errs, n_samples=n)
 
 
-def _schedule_steps(
-    system: SystemSpec, schedule: Schedule | CoarseSchedule
-) -> tuple[State, list[tuple[Label, ...]], list[np.ndarray]]:
-    """Initial state, per-entry outcome labels, per-entry Heisenberg projector stacks."""
-    if isinstance(schedule, Schedule):
-        cs = CoarseSchedule.from_schedule(schedule)
-    else:
-        cs = schedule
-    labels: list[tuple[Label, ...]] = []
-    stacks: list[np.ndarray] = []
-    for t, dev, res in cs.entries:
-        outs = tuple(res.block_labels) if res is not None else tuple(dev.outcomes)
-        u = propagator(system, t)
-        projs = [
-            u.conj().T @ _effective_projector(dev, res, lab) @ u for lab in outs
-        ]
-        labels.append(outs)
-        stacks.append(np.stack(projs))
-    return cs.init, labels, stacks
-
-
 def _trial_rng(seed: int, trial: int, blocks_per_trial: int) -> Generator:
     counter = np.zeros(4, dtype=np.uint64)
     counter[0] = np.uint64(trial * blocks_per_trial)
@@ -190,12 +169,17 @@ def sample_sequences(
         raise ValueError("need at least one sample")
     if workers < 1:
         raise ValueError("need at least one worker")
-    init, labels, stacks = _schedule_steps(system, schedule)
+    stacks = [
+        np.stack(heisenberg_projectors(system, dev, t))
+        for t, dev in zip(schedule.times, schedule.devices)
+    ]
     n_entries = len(stacks)
     blocks_per_trial = max(1, math.ceil(n_entries / 4))
 
     if workers == 1 or n_samples < 2 * workers:
-        merged = _run_trials(init.density, stacks, seed, range(n_samples), blocks_per_trial)
+        merged = _run_trials(
+            schedule.init.density, stacks, seed, range(n_samples), blocks_per_trial
+        )
     else:
         bounds = np.linspace(0, n_samples, workers + 1).astype(int)
         chunks = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -203,7 +187,7 @@ def sample_sequences(
             parts = list(
                 pool.map(
                     lambda ch: _run_trials(
-                        init.density, stacks, seed, ch, blocks_per_trial
+                        schedule.init.density, stacks, seed, ch, blocks_per_trial
                     ),
                     chunks,
                 )
@@ -213,36 +197,14 @@ def sample_sequences(
             for key, c in part.items():
                 merged[key] = merged.get(key, 0) + c
 
-    if isinstance(schedule, Schedule):
-        digest = schedule.digest
-    else:
-        digest = _coarse_digest(schedule)
+    devices = schedule.devices
     counts = {
-        tuple(labels[j][o] for j, o in enumerate(key)): c for key, c in merged.items()
+        tuple(devices[j].outcomes[o] for j, o in enumerate(key)): c
+        for key, c in merged.items()
     }
     return SampleRun(
-        schedule_digest=digest, seed=int(seed), n_samples=int(n_samples), counts=counts
+        schedule_digest=schedule.digest, seed=int(seed), n_samples=int(n_samples), counts=counts
     )
-
-
-def _coarse_digest(cs: CoarseSchedule) -> str:
-    from .serialize import canonical_digest
-
-    payload = {
-        "init_time": cs.init.time_tag,
-        "entries": [
-            {
-                "time": t,
-                "device": dev.name,
-                "outcomes": [str(label_to_json(o)) for o in dev.outcomes],
-                "blocks": None
-                if res is None
-                else [[str(label_to_json(f)) for f in b] for b in res.blocks],
-            }
-            for t, dev, res in cs.entries
-        ],
-    }
-    return canonical_digest(payload)
 
 
 class InterferenceEstimate(NamedTuple):

@@ -26,17 +26,12 @@ from .core import (
     Label,
     State,
     SystemSpec,
+    _eigen_groups,
+    _expm_herm,
     device_from_hermitian,
     propagator,
 )
-from .engine import (
-    BiProbTable,
-    ConsistencyError,
-    Schedule,
-    TableSizeError,
-    biprob_table,
-    max_table_entries,
-)
+from .engine import BiProbTable, ConsistencyError, Schedule, _guard, biprob_table
 from .serialize import matrix_to_json
 
 __all__ = [
@@ -81,12 +76,6 @@ def gellmann_generators(d: int) -> list[np.ndarray]:
         diag[l, l] = -float(l)
         gens.append(math.sqrt(2.0 / (l * (l + 1))) * diag)
     return gens
-
-
-def _expm_herm(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-1j * scale * h) for Hermitian h, via the eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +124,7 @@ class CoordTau:
         if len(taus) != len(generators):
             raise ValueError("one component per generator required")
         h = sum(t * g for t, g in zip(taus, generators))
-        w, v = np.linalg.eigh(h)
-        s = (v * np.exp(1j * w)) @ v.conj().T
-        return cls(time=time, basis=s)
+        return cls(time=time, basis=_expm_herm(*np.linalg.eigh(h), -1.0))
 
 
 def system_biprob(
@@ -211,9 +198,7 @@ def observable_restriction_delta(system: SystemSpec, schedule: Schedule) -> floa
     table = biprob_table(system, schedule)
     d = system.dim
     n = len(schedule)
-    work = (d ** (2 * n)) * d
-    if work > max_table_entries():
-        raise TableSizeError(work, max_table_entries())
+    _guard((d ** (2 * n)) * d)
 
     w0, r0 = np.linalg.eigh(schedule.init.density)
     w0 = np.clip(w0, 0.0, None)
@@ -364,7 +349,7 @@ def dynamical_map_exact(spec: OpenSpec, t: float) -> Superoperator:
         raise ValueError(
             f"joint dimension {d_o * d_e} exceeds the exact-exponential cap {DEFAULT_DIM_CAP}"
         )
-    u = _expm_herm(spec.joint_hamiltonian(), float(t))
+    u = _expm_herm(*np.linalg.eigh(spec.joint_hamiltonian()), float(t))
     rho_e = spec.env_state.density
     m = np.zeros((d_o * d_o, d_o * d_o), dtype=complex)
     for l in range(d_o):
@@ -406,13 +391,7 @@ def _env_blocks(spec: OpenSpec) -> list[tuple[tuple[float, ...], np.ndarray]]:
             sub = cols.conj().T @ f @ cols
             w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
             basis[:, blk] = cols @ v
-            spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
-            tol = 1e-9 * max(spread, 1.0)
-            start = 0
-            for idx in range(1, len(w) + 1):
-                if idx == len(w) or w[idx] - w[idx - 1] > tol:
-                    refined.append(blk[start:idx])
-                    start = idx
+            refined.extend([blk[i] for i in g] for g in _eigen_groups(w))
         blocks = refined
     out = []
     for blk in blocks:
@@ -475,16 +454,14 @@ def dynamical_map_bitraj(
         gen = h0
         for v, ha in zip(values, h_drive):
             gen = gen + v * ha
-        slice_u.append(_expm_herm(gen, dt))
+        slice_u.append(_expm_herm(*np.linalg.eigh(gen), dt))
 
     p_env, v_env = np.linalg.eigh(spec.env_state.density)
     p_env = np.clip(p_env, 0.0, None)
 
     if via_enumeration:
         n_blocks = len(blocks)
-        total = n_blocks ** (2 * n)
-        if total > max_table_entries():
-            raise TableSizeError(total, max_table_entries())
+        _guard(n_blocks ** (2 * n))
         mids = [(j + 0.5) * dt for j in range(n)]
         heis = [
             [
@@ -527,8 +504,9 @@ def dynamical_map_bitraj(
                 )
         return Superoperator(dim=d_o, matrix=_pairwise_sum(contributions))
 
-    u_env = _expm_herm(spec.environment.hamiltonian, dt)
-    u_env_half = _expm_herm(spec.environment.hamiltonian, dt / 2.0)
+    env_eig = np.linalg.eigh(spec.environment.hamiltonian)
+    u_env = _expm_herm(*env_eig, dt)
+    u_env_half = _expm_herm(*env_eig, dt / 2.0)
     a_full = _pairwise_sum(
         [np.kron(su, proj @ u_env) for su, (_, proj) in zip(slice_u, blocks)]
     )
@@ -690,7 +668,7 @@ def piecewise_propagator(
         h = np.asarray(h, dtype=complex)
         if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
             raise ValueError("piecewise generators must be Hermitian")
-        cleaned.append((end, h))
+        cleaned.append((end, np.linalg.eigh(h)))
         prev = end
     if not cleaned:
         raise ValueError("need at least one piece")
@@ -699,18 +677,18 @@ def piecewise_propagator(
         t = float(t)
         if t < 0.0:
             raise ValueError("propagator defined for t >= 0")
-        d = cleaned[0][1].shape[0]
+        d = cleaned[0][1][1].shape[0]
         op = np.eye(d, dtype=complex)
         t_prev = 0.0
-        for end, h in cleaned:
+        for end, eig in cleaned:
             seg = min(t, end) - t_prev
             if seg > 0.0:
-                op = _expm_herm(h, seg) @ op
+                op = _expm_herm(*eig, seg) @ op
                 t_prev = min(t, end)
             if t <= end:
                 return op
         if t > t_prev:
-            op = _expm_herm(cleaned[-1][1], t - t_prev) @ op
+            op = _expm_herm(*cleaned[-1][1], t - t_prev) @ op
         return op
 
     return u

@@ -10,14 +10,13 @@ of statistics under rigid time shifts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coarse import CoarseSchedule, quantum_coarse_prob
+from .coarse import CoarseSchedule
 from .core import (
     Device,
     Label,
@@ -27,7 +26,7 @@ from .core import (
     heisenberg_projectors,
     propagator,
 )
-from .engine import ConsistencyError, Schedule, chain_probability
+from .engine import ConsistencyError, Schedule, chain_probabilities, chain_probability
 
 __all__ = [
     "InitSpec",
@@ -101,23 +100,22 @@ def conditional_prob(
     The schedule's final entry is the queried readout; ``given`` fixes all the
     earlier ones.  Equal times in a coarse schedule mean back-to-back
     projections, which hosts the rapid-remeasurement idealization exactly.
+    The joint probabilities of every final readout are computed together; their
+    sum is the probability of ``given``.
     """
-    cs = (
-        schedule
-        if isinstance(schedule, CoarseSchedule)
-        else CoarseSchedule.from_schedule(schedule)
-    )
-    n = len(cs)
+    n = len(schedule)
     if len(given) != n - 1:
         raise ValueError(f"need {n - 1} conditioning readouts, got {len(given)}")
-    joint = quantum_coarse_prob(system, cs, tuple(given) + (query,))
-    if n == 1:
-        return joint
-    prefix_schedule = CoarseSchedule(entries=cs.entries[:-1], init=cs.init)
-    prefix = quantum_coarse_prob(system, prefix_schedule, tuple(given))
+    *earlier, last = schedule.devices
+    steps = [
+        (t, (dev.projector_for(f),)) for t, dev, f in zip(schedule.times, earlier, given)
+    ]
+    steps.append((schedule.times[-1], last.projectors))
+    joint = chain_probabilities(system, schedule.init, steps)
+    prefix = joint.sum()
     if prefix <= 1e-14:
         raise ValueError("conditioning on a null event")
-    return joint / prefix
+    return float(joint[last.outcome_index(query)] / prefix)
 
 
 @dataclass(frozen=True)
@@ -147,44 +145,37 @@ def markov_delta(
     factorization, and the returned delta measures by how much.
     """
     ts = tuple(float(t) for t in times)
-    if len(ts) < 2:
+    n = len(ts)
+    if n < 2:
         raise ValueError("need at least two measurement times")
     state = init_metric(init, system)
-    projs = {f: device.projector_for(f) for f in device.outcomes}
+    r = device.n_outcomes
 
-    single: dict[tuple[int, Label], float] = {}
-    for j, t in enumerate(ts):
-        for f in device.outcomes:
-            single[j, f] = chain_probability(system, state, [(t, projs[f])])
-    pair: dict[tuple[int, Label, Label], float] = {}
-    for j in range(1, len(ts)):
-        for fp in device.outcomes:
-            for f in device.outcomes:
-                pair[j, fp, f] = chain_probability(
-                    system, state, [(ts[j - 1], projs[fp]), (ts[j], projs[f])]
-                )
+    def probs(*chain_times: float) -> np.ndarray:
+        steps = [(t, device.projectors) for t in chain_times]
+        return chain_probabilities(system, state, steps).reshape((r,) * len(chain_times))
 
-    delta = 0.0
-    excluded = 0
-    checked = 0
-    for seq in itertools.product(device.outcomes, repeat=len(ts)):
-        lhs = chain_probability(
-            system, state, [(t, projs[f]) for t, f in zip(ts, seq)]
-        )
-        rhs = single[0, seq[0]]
-        null = False
-        for j in range(1, len(ts)):
-            denom = single[j - 1, seq[j - 1]]
-            if denom <= 1e-14:
-                null = True
-                break
-            rhs *= pair[j, seq[j - 1], seq[j]] / denom
-        if null:
-            excluded += 1
-            continue
-        checked += 1
-        delta = max(delta, abs(lhs - rhs))
-    return MarkovReport(delta=delta, excluded=excluded, checked=checked)
+    def along(a: np.ndarray, j: int) -> np.ndarray:
+        # place the axes of ``a`` at entries j, j + 1, ... of an n-entry sequence
+        return a.reshape((1,) * j + a.shape + (1,) * (n - j - a.ndim))
+
+    lhs = probs(*ts)
+    # only the last entry can be summed out of a chain, so singles and pairs
+    # at earlier times are chains of their own
+    singles = [probs(t) for t in ts[:-1]]
+    rhs = along(singles[0], 0)
+    null = np.zeros(lhs.shape, dtype=bool)
+    for j in range(1, n):
+        ok = singles[j - 1] > 1e-14
+        ratio = probs(ts[j - 1], ts[j]) / np.where(ok, singles[j - 1], 1.0)[:, None]
+        rhs = rhs * along(ratio, j - 1)
+        null |= along(~ok, j - 1)
+    gaps = np.abs(lhs - rhs)[~null]
+    return MarkovReport(
+        delta=float(gaps.max(initial=0.0)),
+        excluded=int(null.sum()),
+        checked=int(gaps.size),
+    )
 
 
 @dataclass(frozen=True)
@@ -335,22 +326,10 @@ def stationarity_delta(
         u = propagator_fn
     tau0 = schedule.init.time_tag
     frame = u(tau0 + shift).conj().T @ u(tau0)
-    rho0 = schedule.init.density
-    rho_shifted = frame @ rho0 @ frame.conj().T
-
-    def chain(rho: np.ndarray, steps) -> float:
-        op = np.eye(system.dim, dtype=complex)
-        for tt, proj in steps:
-            ut = u(tt)
-            op = (ut.conj().T @ proj @ ut) @ op
-        return float(np.trace(op @ rho @ op.conj().T).real)
-
-    delta = 0.0
-    for seq in itertools.product(*[dev.outcomes for dev in schedule.devices]):
-        base_steps = [
-            (t, dev.projector_for(f))
-            for (t, dev), f in zip(schedule.entries, seq)
-        ]
-        moved_steps = [(t + shift, p) for t, p in base_steps]
-        delta = max(delta, abs(chain(rho0, base_steps) - chain(rho_shifted, moved_steps)))
-    return float(delta)
+    rho = schedule.init.density
+    shifted = State(frame @ rho @ frame.conj().T, time_tag=tau0 + shift)
+    steps = [(t, dev.projectors) for t, dev in schedule.entries]
+    moved = [(t + shift, projs) for t, projs in steps]
+    base = chain_probabilities(system, schedule.init, steps, propagator_fn)
+    after = chain_probabilities(system, shifted, moved, propagator_fn)
+    return float(np.abs(base - after).max())

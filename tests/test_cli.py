@@ -366,6 +366,35 @@ def test_table_guard_and_force_large(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_markov_guard_exits_two(tmp_path, capsys, monkeypatch):
+    # three qubit readouts enumerate 8 sequences of d^2 = 4 leaf entries
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "16")
+    cfg = {
+        "schema_version": 1,
+        "command": "markov",
+        "system": {"dim": 2, "hamiltonian": mat(0.5 * SX)},
+        "devices": [DEV_Z],
+        "init": {"weights": [{"device": "Z", "outcome": "u", "weight": 1.0}]},
+        "params": {"device": "Z", "times": [0.5, 1.1, 1.9]},
+    }
+    code, report, _ = run(tmp_path, "markov", cfg)
+    assert code == 2
+    assert report is None
+    guard = json.loads(capsys.readouterr().err)
+    assert guard["error"] == "table-size-guard"
+    assert guard["requested_entries"] == 32
+    assert guard["limit"] == 16
+
+
+@pytest.mark.parametrize("var", ["BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"])
+def test_malformed_env_cap_exits_two(tmp_path, capsys, monkeypatch, var):
+    monkeypatch.setenv(var, "lots")
+    code, report, _ = run(tmp_path, "verify", ZX_BASE)
+    assert code == 2
+    assert report is None
+    assert var in capsys.readouterr().err
+
+
 def test_check_failure_exits_one(tmp_path):
     cfg = dict(ZX_BASE)
     cfg["tolerances"] = {"normalization": -1.0}  # impossible bound

@@ -8,6 +8,7 @@ from bitraj import (
     Schedule,
     State,
     SystemSpec,
+    TableSizeError,
     coarse_device,
     extreme_coarse_delta,
     faux_coarse_prob,
@@ -172,3 +173,16 @@ def test_quantum_equals_faux_for_fine_outcomes():
             q = quantum_coarse_prob(system, cs, (a, b))
             f = faux_coarse_prob(system, cs, (a, b))
             assert q == pytest.approx(f, abs=1e-12)
+
+
+def test_coarse_enumerations_are_guarded(monkeypatch):
+    # the leaves hold N sequences times d^2 = 4 entries: 2 * 4 = 8 > 4 here
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "4")
+    res = Resolution.full(DEVX)
+    cs = CoarseSchedule(entries=((1.0, DEVX, res), (2.0, DEVZ, None)), init=UP_STATE)
+    with pytest.raises(TableSizeError) as exc:
+        faux_coarse_prob(QUBIT_FREE, cs, ("any", "u"))
+    assert (exc.value.requested, exc.value.limit) == (8, 4)
+    sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    with pytest.raises(TableSizeError):
+        extreme_coarse_delta(QUBIT_FREE, sched, 0)

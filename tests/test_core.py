@@ -147,3 +147,17 @@ def test_dimension_cap():
     with pytest.raises(ValueError, match="dimension"):
         SystemSpec(dim=65, hamiltonian=big)
     SystemSpec(dim=65, hamiltonian=big, allow_large=True)  # opt-out works
+
+
+@pytest.mark.parametrize("raw", ["lots", "0", "-1", "6.5"])
+def test_dimension_cap_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("BITRAJ_MAX_DIM", raw)
+    with pytest.raises(ValueError, match="BITRAJ_MAX_DIM"):
+        SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
+
+
+def test_dimension_cap_accepts_float_spelling(monkeypatch):
+    monkeypatch.setenv("BITRAJ_MAX_DIM", "1e1")
+    SystemSpec(dim=10, hamiltonian=np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="dimension"):
+        SystemSpec(dim=11, hamiltonian=np.zeros((11, 11)))

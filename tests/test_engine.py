@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitraj import (
     BiProbTable,
@@ -16,6 +20,7 @@ from bitraj import (
     property_report,
     uniform_bound_check,
 )
+from bitraj.engine import chain_probabilities, chain_probability, max_table_entries
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -240,3 +245,74 @@ def test_biprob_length_mismatch():
     sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
     with pytest.raises(ValueError):
         biprob(QUBIT_FREE, sched, BiSequence(("+",), ("-",)))
+
+
+# ---------------------------------------------------------------------------
+# every sequence at once vs. one chain at a time
+
+
+@st.composite
+def chain_cases(draw):
+    """Random system, state and per-entry projector families.
+
+    Dimension 2-4, 1-4 entries, repeated times, coarse blocks (fewer blocks
+    than dimensions) and rank-deficient states.
+    """
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, dim))
+    n_blocks = draw(st.lists(st.integers(1, dim), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(dim, dim)
+    system = SystemSpec(dim=dim, hamiltonian=0.5 * (h + h.conj().T))
+    a = gaussian(dim, rank)
+    init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    steps = []
+    t = 0.0
+    for k, repeat in zip(n_blocks, repeats):
+        if not (repeat and steps):
+            t += float(rng.uniform(0.1, 1.0))
+        v = np.linalg.qr(gaussian(dim, dim))[0]
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
+        blocks = np.split(rng.permutation(dim), cuts)
+        steps.append((t, [v[:, b] @ v[:, b].conj().T for b in blocks]))
+    return system, init, steps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain_cases())
+def test_chain_probabilities_match_single_chains(case):
+    system, init, steps = case
+    times = [t for t, _ in steps]
+    expected = [
+        chain_probability(system, init, list(zip(times, chain)))
+        for chain in itertools.product(*(projs for _, projs in steps))
+    ]
+    got = chain_probabilities(system, init, steps)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the BITRAJ_MAX_TABLE cap
+
+
+@pytest.mark.parametrize("raw", ["lots", "0", "-3", "2.5", "inf", "nan"])
+def test_table_cap_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", raw)
+    with pytest.raises(ValueError, match="BITRAJ_MAX_TABLE"):
+        max_table_entries()
+    system, sched = random_config(11, dim=2, n=1)
+    with pytest.raises(ValueError, match="BITRAJ_MAX_TABLE"):
+        biprob_table(system, sched)
+
+
+def test_table_cap_accepts_float_spelling(monkeypatch):
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "1e6")
+    assert max_table_entries() == 1_000_000
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "")
+    assert max_table_entries() == 10_000_000

@@ -176,3 +176,112 @@ def test_estimate_uncertainty_small_delay():
 def test_estimate_uncertainty_rejects_negative_delay():
     with pytest.raises(ValueError):
         estimate_uncertainty(QUBIT_FREE, DEVZ, DEVZ, 0.0, -0.1, 100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# pinned seed -> counts regressions: plain and coarse schedules, d = 2 and 3
+
+SZ = np.diag([1.0, -1.0]).astype(complex)
+QUBIT_DRIVEN = SystemSpec(dim=2, hamiltonian=0.5 * SX + 0.3 * SZ)
+F3 = np.fft.ifft(np.eye(3), norm="ortho")
+DEVZ3 = Device(
+    name="Z3",
+    outcomes=(0, 1, 2),
+    projectors=tuple(np.diag(np.eye(3)[k]).astype(complex) for k in range(3)),
+)
+DEVF3 = Device(
+    name="F3",
+    outcomes=(0, 1, 2),
+    projectors=tuple(np.outer(F3[:, k], F3[:, k].conj()) for k in range(3)),
+)
+QUTRIT = SystemSpec(
+    dim=3,
+    hamiltonian=np.array(
+        [[0.6, 0.2 - 0.3j, 0.1], [0.2 + 0.3j, -0.4, 0.5j], [0.1, -0.5j, 0.1]]
+    ),
+)
+RHO3 = State(np.diag([0.5, 0.3, 0.2]).astype(complex))
+
+PINNED_RUNS = {
+    "qubit_plain": (
+        QUBIT_DRIVEN,
+        Schedule(entries=((0.5, DEVZ), (1.0, DEVX), (1.5, DEVZ)), init=UP_STATE),
+        17,
+        {
+            ("d", "+", "d"): 5, ("d", "+", "u"): 4, ("d", "-", "d"): 4,
+            ("d", "-", "u"): 6, ("u", "+", "d"): 104, ("u", "+", "u"): 107,
+            ("u", "-", "d"): 98, ("u", "-", "u"): 72,
+        },
+    ),
+    "qubit_coarse": (
+        QUBIT_DRIVEN,
+        CoarseSchedule(
+            entries=(
+                (0.5, DEVX, pair_resolution(DEVX, ("+", "-"))),
+                (0.5, DEVZ, None),
+                (1.2, DEVX, None),
+            ),
+            init=State(np.diag([0.7, 0.3]).astype(complex)),
+        ),
+        18,
+        {
+            ("+|-", "d", "+"): 68, ("+|-", "d", "-"): 63,
+            ("+|-", "u", "+"): 136, ("+|-", "u", "-"): 133,
+        },
+    ),
+    "qutrit_plain": (
+        QUTRIT,
+        Schedule(entries=((0.4, DEVZ3), (0.9, DEVF3)), init=RHO3),
+        19,
+        {
+            (0, 0): 74, (0, 1): 64, (0, 2): 52, (1, 0): 12, (1, 1): 62,
+            (1, 2): 45, (2, 0): 36, (2, 1): 22, (2, 2): 33,
+        },
+    ),
+    "qutrit_coarse": (
+        QUTRIT,
+        CoarseSchedule(
+            entries=(
+                (0.4, DEVF3, pair_resolution(DEVF3, (0, 1))),
+                (0.4, DEVZ3, None),
+                (1.1, DEVF3, pair_resolution(DEVF3, (1, 2))),
+            ),
+            init=RHO3,
+        ),
+        20,
+        {
+            ("0|1", 0, "1|2"): 64, ("0|1", 0, 0): 47, ("0|1", 1, "1|2"): 82,
+            ("0|1", 1, 0): 3, ("0|1", 2, "1|2"): 36, ("0|1", 2, 0): 40,
+            (2, 0, "1|2"): 22, (2, 0, 0): 19, (2, 1, "1|2"): 45,
+            (2, 2, "1|2"): 25, (2, 2, 0): 17,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_sampled_counts_pinned(case):
+    system, sched, seed, expected = PINNED_RUNS[case]
+    assert sample_sequences(system, sched, 400, seed=seed).counts == expected
+
+
+# ---------------------------------------------------------------------------
+# schedule digests of sampling runs
+
+
+def test_coarse_digest_tracks_the_initial_state():
+    res = pair_resolution(DEVX, ("+", "-"))
+    entries = ((1.0, DEVX, res), (2.0, DEVZ, None))
+    up = CoarseSchedule(entries=entries, init=UP_STATE)
+    down = CoarseSchedule(entries=entries, init=State(DN))
+    run_up = sample_sequences(QUBIT_FREE, up, 10, seed=1)
+    run_down = sample_sequences(QUBIT_FREE, down, 10, seed=1)
+    assert run_up.schedule_digest != run_down.schedule_digest
+
+
+def test_fine_coarse_schedule_digest_matches_plain_schedule():
+    plain = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    fine = CoarseSchedule(entries=((1.0, DEVX, None), (2.0, DEVZ, None)), init=UP_STATE)
+    run_plain = sample_sequences(QUBIT_FREE, plain, 10, seed=1)
+    run_fine = sample_sequences(QUBIT_FREE, fine, 10, seed=1)
+    assert run_plain.schedule_digest == run_fine.schedule_digest

@@ -9,6 +9,7 @@ from bitraj import (
     Schedule,
     State,
     SystemSpec,
+    TableSizeError,
     conditional_prob,
     init_metric,
     markov_delta,
@@ -250,3 +251,18 @@ def test_stationarity_broken_by_drive():
     delta = stationarity_delta(system, sched, 0.7, propagator_fn=u)
     assert delta > 1e-3
     assert delta == pytest.approx(0.03920432398552526, rel=1e-9)
+
+
+def test_phenomena_enumerations_are_guarded(monkeypatch):
+    # three qubit readouts: 8 sequences times d^2 = 4 leaf entries
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "16")
+    system = SystemSpec(dim=2, hamiltonian=0.5 * SX)
+    init = InitSpec(entries=((DEVZ, "u", 1.0),), time=0.0)
+    with pytest.raises(TableSizeError) as exc:
+        markov_delta(system, DEVZ, [0.5, 1.0, 1.5], init)
+    assert (exc.value.requested, exc.value.limit) == (32, 16)
+    sched = Schedule(
+        entries=((0.5, DEVX), (1.2, DEVZ), (1.8, DEVX)), init=State(UP)
+    )
+    with pytest.raises(TableSizeError):
+        stationarity_delta(system, sched, 0.7)
