@@ -1030,7 +1030,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker cap for sampling commands"
+        "--threads", type=int, default=1,
+        help="at least 1; sampling is one vectorised pass, so it changes neither counts nor work",
     )
     parser.add_argument(
         "--force-large",

@@ -17,6 +17,7 @@ sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -311,29 +312,30 @@ class BiProbTable:
         return self.matrix.diagonal().real.copy()
 
     def items(self) -> Iterator[tuple[BiSequence, complex]]:
-        for p in range(self.n_sequences):
-            fp = self.decode(p)
-            for m in range(self.n_sequences):
-                yield BiSequence(fp, self.decode(m)), complex(self.matrix[p, m])
+        labels = self._sequence_labels()
+        for fp, row in zip(labels, self.matrix):
+            for fm, q in zip(labels, row.tolist()):
+                yield BiSequence(fp, fm), q
+
+    def _sequence_labels(self, fmt: Callable[[Label], object] | None = None) -> list[tuple]:
+        """Every sequence's labels in code order, each outcome mapped by ``fmt`` once."""
+        per_entry = [
+            dev.outcomes if fmt is None else tuple(map(fmt, dev.outcomes))
+            for dev in self.schedule.devices
+        ]
+        return list(itertools.product(*per_entry))
 
     @property
     def schedule_digest(self) -> str:
         return self.schedule.digest
 
     def to_json(self) -> dict:
-        entries = []
-        for p in range(self.n_sequences):
-            fp = self.decode(p)
-            for m in range(self.n_sequences):
-                q = self.matrix[p, m]
-                entries.append(
-                    {
-                        "plus": [label_to_json(x) for x in fp],
-                        "minus": [label_to_json(x) for x in self.decode(m)],
-                        "re": float(q.real),
-                        "im": float(q.imag),
-                    }
-                )
+        labels = self._sequence_labels(label_to_json)
+        entries = [
+            {"plus": _fresh(fp), "minus": _fresh(fm), "re": q.real, "im": q.imag}
+            for fp, row in zip(labels, self.matrix)
+            for fm, q in zip(labels, row.tolist())
+        ]
         return {"schedule_digest": self.schedule_digest, "entries": entries}
 
     def to_csv(self) -> str:
@@ -344,15 +346,16 @@ class BiProbTable:
             + ["re", "im"]
         )
         lines = [",".join(header)]
-        for p in range(self.n_sequences):
-            fp = self.decode(p)
-            for m in range(self.n_sequences):
-                fm = self.decode(m)
-                q = self.matrix[p, m]
-                cells = [_csv_cell(x) for x in fp] + [_csv_cell(x) for x in fm]
-                cells += [f"{q.real:.17g}", f"{q.imag:.17g}"]
-                lines.append(",".join(cells))
+        cells = [",".join(seq) for seq in self._sequence_labels(_csv_cell)]
+        for fp, row in zip(cells, self.matrix):
+            for fm, q in zip(cells, row.tolist()):
+                lines.append(f"{fp},{fm},{q.real:.17g},{q.imag:.17g}")
         return "\n".join(lines) + "\n"
+
+
+def _fresh(labels) -> list:
+    """A new list of JSON labels; nested (tuple-label) lists are copied too."""
+    return [_fresh(x) if isinstance(x, list) else x for x in labels]
 
 
 def _csv_cell(label: Label) -> str:
@@ -505,7 +508,7 @@ def gudder_metric(table: BiProbTable, tol: float = 1e-10) -> GudderMetric:
     eigvals = np.linalg.eigvalsh(herm)
     floor = tol * max(1.0, float(eigvals.max(initial=0.0)))
     rank = int((eigvals > floor).sum())
-    labels = tuple(table.decode(p) for p in range(table.n_sequences))
+    labels = tuple(table._sequence_labels())
     return GudderMetric(metric=herm, basis_labels=labels, rank=rank)
 
 

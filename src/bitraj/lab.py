@@ -1,20 +1,20 @@
 """Virtual laboratory: sampled sequential measurements and their statistics.
 
-Generates outcome sequences trial by trial with the Born weights and the
-projective collapse update, then replays the phenomenological deductions made
-from real tallies: empirical probability tables with binomial error bars,
-interference terms reconstructed from fine vs. pair-merged readout runs, and
-conditional (uncertainty) matrices estimated from back-to-back readouts.
+Generates outcome sequences with the Born weights and the projective collapse
+update, in one vectorised pass over all trials, then replays the
+phenomenological deductions made from real tallies: empirical probability
+tables with binomial error bars, interference terms reconstructed from fine
+vs. pair-merged readout runs, and conditional (uncertainty) matrices estimated
+from back-to-back readouts.
 
 Randomness is counter-based: every trial owns a fixed range of Philox counter
-blocks keyed by the run seed, so the counts are bit-identical no matter how
-the trials are partitioned across workers.
+blocks keyed by the run seed, so the counts depend only on the seed and the
+number of trials, not on how the trials are grouped or chunked.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -108,47 +108,50 @@ def empirical_distribution(run: SampleRun) -> EmpiricalDist:
     return EmpiricalDist(probabilities=probs, std_errors=errs, n_samples=n)
 
 
-def _trial_rng(seed: int, trial: int, blocks_per_trial: int) -> Generator:
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = np.uint64(trial * blocks_per_trial)
-    return Generator(Philox(key=np.uint64(seed), counter=counter))
+#: Trials drawn and collapsed together; bounds the draw buffer, not the counts.
+_CHUNK = 2**12
 
 
 def _run_trials(
-    init_density: np.ndarray,
-    stacks: Sequence[np.ndarray],
-    seed: int,
-    trials: range,
-    blocks_per_trial: int,
+    init_density: np.ndarray, stacks: Sequence[np.ndarray], seed: int, n_samples: int
 ) -> dict[tuple[int, ...], int]:
+    """Outcome-index tallies of ``n_samples`` trials, grouped by shared prefix.
+
+    Trial k reads its draws from Philox counter blocks ``[k*b, (k+1)*b)``, so
+    one generator per chunk reproduces every trial's own stream.  Trials with
+    the same outcome prefix share one Born vector and one collapse.
+    """
+    blocks_per_trial = max(1, math.ceil(len(stacks) / 4))
     counts: dict[tuple[int, ...], int] = {}
-    n_entries = len(stacks)
-    for trial in trials:
-        rng = _trial_rng(seed, trial, blocks_per_trial)
-        draws = rng.random(n_entries)
-        rho = init_density
-        picked: list[int] = []
+    for start in range(0, n_samples, _CHUNK):
+        n = min(_CHUNK, n_samples - start)
+        counter = np.array([start * blocks_per_trial, 0, 0, 0], dtype=np.uint64)
+        rng = Generator(Philox(key=np.uint64(seed), counter=counter))
+        draws = rng.random(n * 4 * blocks_per_trial).reshape(n, 4 * blocks_per_trial)
+        groups = [((), init_density, np.arange(n))]
         for j, projs in enumerate(stacks):
-            probs = np.einsum("oij,ji->o", projs, rho).real
-            np.clip(probs, 0.0, None, out=probs)
-            total = probs.sum()
-            if total <= 1e-300:
-                raise RuntimeError(
-                    "all readout branches vanished mid-chain; the projector "
-                    "chain is inconsistent"
-                )
-            alive = np.nonzero(probs > 1e-300)[0]
-            cum = np.cumsum(probs[alive])
-            idx = int(np.searchsorted(cum, draws[j] * total, side="right"))
-            if idx >= len(alive):
-                idx = len(alive) - 1
-            o = int(alive[idx])
-            p = probs[o]
-            proj = projs[o]
-            rho = (proj @ rho @ proj) / p
-            picked.append(o)
-        key = tuple(picked)
-        counts[key] = counts.get(key, 0) + 1
+            children = []
+            for prefix, rho, trials in groups:
+                probs = np.einsum("oij,ji->o", projs, rho).real
+                np.clip(probs, 0.0, None, out=probs)
+                total = probs.sum()
+                if total <= 1e-300:
+                    raise RuntimeError(
+                        "all readout branches vanished mid-chain; the projector "
+                        "chain is inconsistent"
+                    )
+                alive = np.nonzero(probs > 1e-300)[0]
+                cum = np.cumsum(probs[alive])
+                idx = np.searchsorted(cum, draws[trials, j] * total, side="right")
+                picked = alive[np.minimum(idx, len(alive) - 1)]
+                for o in np.unique(picked):
+                    proj = projs[o]
+                    children.append(
+                        (prefix + (int(o),), (proj @ rho @ proj) / probs[o], trials[picked == o])
+                    )
+            groups = children
+        for prefix, _, trials in groups:
+            counts[prefix] = counts.get(prefix, 0) + len(trials)
     return counts
 
 
@@ -161,9 +164,10 @@ def sample_sequences(
 ) -> SampleRun:
     """Draw outcome sequences by chaining Born weights with collapse updates.
 
-    Each trial consumes its own fixed range of counter blocks, so the result
-    depends only on ``(seed, n_samples)`` — never on ``workers``, which merely
-    sets how many threads share the sweep.
+    Every trial consumes its own fixed range of counter blocks, so the result
+    depends only on ``(seed, n_samples)``.  ``workers`` must be at least 1; it
+    changes neither the counts nor the work, since all trials run in one
+    vectorised pass.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -173,30 +177,7 @@ def sample_sequences(
         np.stack(heisenberg_projectors(system, dev, t))
         for t, dev in zip(schedule.times, schedule.devices)
     ]
-    n_entries = len(stacks)
-    blocks_per_trial = max(1, math.ceil(n_entries / 4))
-
-    if workers == 1 or n_samples < 2 * workers:
-        merged = _run_trials(
-            schedule.init.density, stacks, seed, range(n_samples), blocks_per_trial
-        )
-    else:
-        bounds = np.linspace(0, n_samples, workers + 1).astype(int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda ch: _run_trials(
-                        schedule.init.density, stacks, seed, ch, blocks_per_trial
-                    ),
-                    chunks,
-                )
-            )
-        merged = {}
-        for part in parts:
-            for key, c in part.items():
-                merged[key] = merged.get(key, 0) + c
-
+    merged = _run_trials(schedule.init.density, stacks, seed, n_samples)
     devices = schedule.devices
     counts = {
         tuple(devices[j].outcomes[o] for j, o in enumerate(key)): c
@@ -354,22 +335,13 @@ def estimate_uncertainty(
         lab for j, lab in enumerate(dev_l.outcomes) if totals[j] == 0
     )
 
-    exchange = 0.0
-    for k in range(dev_k.n_outcomes):
-        for l in range(dev_l.n_outcomes):
-            if totals[l] > 0 and totals_swp[k] > 0:
-                exchange = max(exchange, abs(cond[k, l] - cond_swp[l, k]))
+    observed = (totals_swp[:, None] > 0) & (totals[None, :] > 0)
+    exchange = float(np.abs(cond - cond_swp.T).max(initial=0.0, where=observed))
 
     exact_delta = None
     if dt == 0:
         exact = uncertainty_matrix(system, dev_k, dev_l, float(t))
-        gaps = [
-            abs(cond[k, l] - exact[k, l])
-            for k in range(dev_k.n_outcomes)
-            for l in range(dev_l.n_outcomes)
-            if totals[l] > 0
-        ]
-        exact_delta = max(gaps) if gaps else 0.0
+        exact_delta = float(np.abs(cond - exact).max(initial=0.0, where=totals > 0))
 
     return UncertaintyEstimate(
         matrix=cond,

@@ -548,7 +548,8 @@ def two_time_commutator(
     the trace against the state.  Route two weighs the two-step bi-probability
     table with the branch products f2+ f1+ minus f1- f2- (plus for the
     anticommutator) — the moment is carried entirely by off-diagonal entries
-    in the commutator case.  Deviation beyond 1e-10 raises.
+    in the commutator case.  Both routes are quadratic in the observables, so
+    a deviation beyond ``1e-10 * max(1, ||F1|| ||F2||)`` raises.
     """
     if not t2 > t1:
         raise ValueError("the second observable must be measured strictly later")
@@ -575,7 +576,8 @@ def two_time_commutator(
     op = f2t @ f1t + sign * f1t @ f2t
     direct = complex(np.trace(op @ state.density))
 
-    if abs(direct - from_biprob) > 1e-10:
+    scale = max(1.0, float(np.linalg.norm(f1, 2) * np.linalg.norm(f2, 2)))
+    if abs(direct - from_biprob) > 1e-10 * scale:
         raise ConsistencyError(
             f"moment routes disagree: {direct} vs {from_biprob}"
         )

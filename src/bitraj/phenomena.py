@@ -231,8 +231,9 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     The survival over a short interval dt falls off as 1 - v^2 dt^2 with no
     linear term; v^2 is the energy variance in the readout's time-translated
     eigenvector.  The analytic value is cross-checked against a finite
-    difference of the actual survival curve (step sizes 1e-3 and 2e-3, with
-    the cubic correction eliminated), and the vanishing of the linear term is
+    difference of the actual survival curve (steps h and 2h with
+    h = 1e-3 / max(1, ||H||), so stiff systems are resolved too, and the
+    cubic correction eliminated), and the vanishing of the linear term is
     asserted as well.
     """
     proj = device.projector_for(outcome)
@@ -252,10 +253,10 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     def survival(dt: float) -> float:
         return chain_probability(system, init, [(t + dt, proj)])
 
-    h = 1e-3
+    hnorm = float(np.linalg.norm(ham, 2))
+    h = 1e-3 / max(1.0, hnorm)
     d1 = 1.0 - survival(h)
     d2 = 1.0 - survival(2.0 * h)
-    hnorm = float(np.linalg.norm(ham, 2))
     linear = (4.0 * d1 - d2) / (2.0 * h)
     if abs(linear) > 1e-5 * max(1.0, hnorm**3):
         raise ConsistencyError(

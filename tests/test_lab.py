@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from bitraj import (
     CoarseSchedule,
@@ -15,6 +18,8 @@ from bitraj import (
     reconstruct_interference,
     sample_sequences,
 )
+from bitraj import lab
+from bitraj.core import heisenberg_projectors
 from bitraj.lab import pair_resolution
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -285,3 +290,98 @@ def test_fine_coarse_schedule_digest_matches_plain_schedule():
     run_plain = sample_sequences(QUBIT_FREE, plain, 10, seed=1)
     run_fine = sample_sequences(QUBIT_FREE, fine, 10, seed=1)
     assert run_plain.schedule_digest == run_fine.schedule_digest
+
+
+# ---------------------------------------------------------------------------
+# the vectorised sampler against the per-trial reference
+
+
+def oracle_counts(system, schedule, n_samples, seed):
+    """Reference sampler: one Philox generator and one collapse chain per trial."""
+    stacks = [
+        np.stack(heisenberg_projectors(system, dev, t))
+        for t, dev in zip(schedule.times, schedule.devices)
+    ]
+    blocks = max(1, math.ceil(len(stacks) / 4))
+    counts = {}
+    for trial in range(n_samples):
+        counter = np.array([trial * blocks, 0, 0, 0], dtype=np.uint64)
+        draws = Generator(Philox(key=np.uint64(seed), counter=counter)).random(len(stacks))
+        rho, seq = schedule.init.density, ()
+        for j, (dev, projs) in enumerate(zip(schedule.devices, stacks)):
+            probs = np.einsum("oij,ji->o", projs, rho).real
+            np.clip(probs, 0.0, None, out=probs)
+            alive = np.nonzero(probs > 1e-300)[0]
+            cum = np.cumsum(probs[alive])
+            idx = int(np.searchsorted(cum, draws[j] * probs.sum(), side="right"))
+            o = int(alive[min(idx, len(alive) - 1)])
+            rho = (projs[o] @ rho @ projs[o]) / probs[o]
+            seq += (dev.outcomes[o],)
+        counts[seq] = counts.get(seq, 0) + 1
+    return counts
+
+
+@st.composite
+def sampler_cases(draw):
+    """Random system, state and schedule for the sampler.
+
+    Dimension 2-4, 1-6 entries, repeated times, pair-merged readout blocks and
+    rank-deficient states; seeds up to 2**31 - 1.
+    """
+    dim = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim))
+    merged = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(dim, dim)
+    system = SystemSpec(dim=dim, hamiltonian=0.5 * (h + h.conj().T))
+    a = gaussian(dim, rank)
+    init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    entries = []
+    t = 0.0
+    for k, (merge, repeat) in enumerate(zip(merged, repeats)):
+        if not (repeat and entries):
+            t += float(rng.uniform(0.1, 1.0))
+        v = np.linalg.qr(gaussian(dim, dim))[0]
+        dev = Device(
+            name=f"D{k}",
+            outcomes=tuple(range(dim)),
+            projectors=tuple(np.outer(v[:, i], v[:, i].conj()) for i in range(dim)),
+        )
+        pair = tuple(int(i) for i in rng.choice(dim, size=2, replace=False))
+        entries.append((t, dev, pair_resolution(dev, pair) if merge else None))
+    schedule = CoarseSchedule(entries=tuple(entries), init=init)
+    return system, schedule, draw(st.integers(1, 200)), draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sampler_cases())
+def test_sampler_matches_per_trial_reference(case):
+    system, schedule, n_samples, seed = case
+    run = sample_sequences(system, schedule, n_samples, seed=seed)
+    assert run.counts == oracle_counts(system, schedule, n_samples, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_sampled_counts_pinned_across_chunk_boundaries(monkeypatch, chunk, case):
+    monkeypatch.setattr(lab, "_CHUNK", chunk)
+    system, sched, seed, expected = PINNED_RUNS[case]
+    assert sample_sequences(system, sched, 400, seed=seed).counts == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_five_entry_chunks_match_reference(monkeypatch, chunk):
+    # five entries take two counter blocks per trial
+    sched = Schedule(
+        entries=((0.3, DEVF3), (0.6, DEVZ3), (0.8, DEVF3), (1.0, DEVZ3), (1.4, DEVF3)),
+        init=RHO3,
+    )
+    expected = oracle_counts(QUTRIT, sched, 60, 2**31 - 1)
+    monkeypatch.setattr(lab, "_CHUNK", chunk)
+    assert sample_sequences(QUTRIT, sched, 60, seed=2**31 - 1).counts == expected

@@ -328,6 +328,26 @@ def test_commutator_routes_agree_random(seed):
     assert abs(mom2.direct - mom2.from_biprob) <= 1e-10
 
 
+@pytest.mark.parametrize("norm", [1e3, 1e5])
+@pytest.mark.parametrize("seed", range(4))
+def test_commutator_gate_scales_with_the_observables(seed, norm):
+    # both routes are quadratic in F1 and F2, so their round-off is too
+    rng = np.random.default_rng(1400 + seed)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    system = SystemSpec(dim=3, hamiltonian=0.5 * (h + h.conj().T))
+
+    def rand_obs():
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        f = 0.5 * (a + a.conj().T)
+        return norm * f / np.linalg.norm(f, 2)
+
+    f1, f2 = rand_obs(), rand_obs()
+    state = State(np.diag(rng.dirichlet(np.ones(3))).astype(complex))
+    for anti in (False, True):
+        mom = two_time_commutator(system, f2, f1, 1.7, 0.6, state, anticommutator=anti)
+        assert abs(mom.direct - mom.from_biprob) <= 1e-10 * norm**2
+
+
 # ---------------------------------------------------------------------------
 # classical diagnostic
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitraj import (
     Device,
@@ -160,6 +162,32 @@ def test_zeno_rate_finite_difference():
     s = math.cos(dt / 2) ** 2  # single-step survival
     v_fd = math.sqrt((1.0 - s) / dt**2)
     assert v == pytest.approx(v_fd, abs=1e-4)
+
+
+@pytest.mark.parametrize("scale", [30.0, 100.0, 1e4])
+def test_zeno_rate_on_stiff_systems(scale):
+    # the finite-difference step shrinks with ||H||, so no ConsistencyError
+    system = SystemSpec(dim=2, hamiltonian=scale * SX)
+    assert zeno_rate(system, DEVZ, "u", 0.0) == pytest.approx(scale, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 5),
+    st.floats(-2.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_zeno_rate_is_the_energy_spread_at_any_scale(dim, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    h *= 10.0**log_scale / np.linalg.norm(h, 2)
+    dev = fine_device(dim, seed)
+    psi = np.linalg.eigh(dev.projectors[0])[1][:, -1]
+    mean = (psi.conj() @ h @ psi).real
+    spread = math.sqrt(max((psi.conj() @ h @ h @ psi).real - mean**2, 0.0))
+    rate = zeno_rate(SystemSpec(dim=dim, hamiltonian=h), dev, dev.outcomes[0], 0.0)
+    assert rate == pytest.approx(spread, rel=1e-9, abs=1e-12 * 10.0**log_scale)
 
 
 def test_zeno_rejects_coarse_readout():
