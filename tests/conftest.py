@@ -3,7 +3,16 @@
 The acceptance suite registers one verdict per criterion here; the terminal
 summary hook prints them as PASS/FAIL lines at the end of the run so the
 result of every criterion is visible even when pytest captures stdout.
+
+Every Hypothesis test runs under one profile: reproducible examples
+(``derandomize``), no example database and no per-example deadline; a test's
+own ``@settings`` only sets its example count.
 """
+
+from hypothesis import settings
+
+settings.register_profile("bitraj", deadline=None, derandomize=True, database=None)
+settings.load_profile("bitraj")
 
 ACCEPTANCE: list[tuple[str, bool, str]] = []
 

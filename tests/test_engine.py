@@ -1,4 +1,7 @@
+import dataclasses
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +23,13 @@ from bitraj import (
     property_report,
     uniform_bound_check,
 )
-from bitraj.engine import chain_probabilities, chain_probability, max_table_entries
+from bitraj.cli import DEFAULT_TOLERANCES, _check
+from bitraj.engine import (
+    PropertyReport,
+    chain_probabilities,
+    chain_probability,
+    max_table_entries,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -284,7 +293,7 @@ def chain_cases(draw):
     return system, init, steps
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(chain_cases())
 def test_chain_probabilities_match_single_chains(case):
     system, init, steps = case
@@ -316,3 +325,154 @@ def test_table_cap_accepts_float_spelling(monkeypatch):
     assert max_table_entries() == 1_000_000
     monkeypatch.setenv("BITRAJ_MAX_TABLE", "")
     assert max_table_entries() == 10_000_000
+
+
+# ---------------------------------------------------------------------------
+# the row-block report against the dense reference
+
+
+def dense_report(table):
+    """Reference report: every witness from dense N x N arrays, ``eigvalsh`` for positivity."""
+    m = table.matrix
+    normalization_error = abs(complex(m.sum()) - 1.0)
+
+    max_biconsistency = 0.0
+    n = len(table.schedule)
+    for pos in range(n):
+        if n == 1:
+            marg = complex(m.sum())
+            max_biconsistency = max(max_biconsistency, abs(marg - 1.0))
+            continue
+        marg = marginalize_pair(table, pos)
+        fresh = biprob_table(table.system, table.schedule.without(pos), force_large=True)
+        diff = np.abs(marg.matrix - fresh.matrix).max()
+        max_biconsistency = max(max_biconsistency, float(diff))
+
+    radices = table.radices
+    last_r = radices[-1]
+    shaped = np.abs(m.reshape(-1, last_r, table.n_sequences // last_r, last_r))
+    off_last = shaped.copy()
+    idx = np.arange(last_r)
+    off_last[:, idx, :, idx] = 0.0
+    max_causality = float(off_last.max())
+
+    max_hermitianity = float(np.abs(m - m.conj().T).max())
+
+    herm = 0.5 * (m + m.conj().T)
+    eigvals = np.linalg.eigvalsh(herm)
+    min_gram = float(eigvals.min())
+
+    diag = m.diagonal()
+    max_diag_neg = float(max(0.0, -diag.real.min()))
+
+    l1 = float(np.abs(m).sum())
+
+    return PropertyReport(
+        normalization_error=float(normalization_error),
+        max_biconsistency_error=max_biconsistency,
+        max_causality_violation=max_causality,
+        max_hermitianity_error=max_hermitianity,
+        min_gram_eigenvalue=min_gram,
+        max_diagonal_negativity=max_diag_neg,
+        l1_norm=l1,
+    )
+
+
+@st.composite
+def report_cases(draw):
+    """Random library-built tables of up to 256 sequences.
+
+    Dimension 2-5, 1-5 entries, coarse devices (fewer blocks than dimensions,
+    down to a single outcome), ||H||_2 from 1e-2 to 1e3 and rank-deficient
+    states; about half the cases are cut to N <= d^2 sequences.
+    """
+    dim = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim))
+    n_blocks = draw(st.lists(st.integers(1, dim), min_size=n, max_size=n))
+    log_scale = draw(st.floats(-2.0, 3.0))
+    cap = dim * dim if draw(st.booleans()) else 256
+    while len(n_blocks) > 1 and math.prod(n_blocks) > cap:
+        n_blocks.pop()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(dim, dim)
+    h = h + h.conj().T
+    system = SystemSpec(dim=dim, hamiltonian=h * 10.0**log_scale / np.linalg.norm(h, 2))
+    a = gaussian(dim, rank)
+    init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    entries = []
+    t = 0.0
+    for j, k in enumerate(n_blocks):
+        t += float(rng.uniform(0.1, 1.0))
+        v = np.linalg.qr(gaussian(dim, dim))[0]
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
+        blocks = np.split(rng.permutation(dim), cuts)
+        projs = tuple(v[:, b] @ v[:, b].conj().T for b in blocks)
+        entries.append((t, Device(name=f"D{j}", outcomes=tuple(range(k)), projectors=projs)))
+    return system, Schedule(entries=tuple(entries), init=init)
+
+
+@settings(max_examples=60)
+@given(report_cases())
+def test_property_report_matches_the_dense_reference(case):
+    table = biprob_table(*case)
+    got = property_report(table).as_dict()
+    want = dense_report(table).as_dict()
+    gram = got.pop("min_gram_eigenvalue")
+    dense_gram = want.pop("min_gram_eigenvalue")
+    assert got == want  # every other witness bit for bit
+    assert gram <= dense_gram + 1e-15  # a lower bound on the dense eigenvalue
+    assert gram >= -1e-12
+
+
+@settings(max_examples=30)
+@given(report_cases())
+def test_gram_bound_fails_a_table_with_a_negative_direction(case):
+    # shift the least eigenvalue of herm(Q) to -delta along its eigenvector;
+    # the 1e-15 allows for the round-off of the dense eigenvalue shifted
+    table = biprob_table(*case)
+    w, v = np.linalg.eigh(0.5 * (table.matrix + table.matrix.conj().T))
+    for delta in (1e-9, 1e-6, 1e-3):
+        bump = -(w[0] + delta) * np.outer(v[:, 0], v[:, 0].conj())
+        bent = dataclasses.replace(table, matrix=table.matrix + bump)
+        gram = property_report(bent).min_gram_eigenvalue
+        assert gram <= -delta + 1e-15
+        assert gram <= dense_report(bent).min_gram_eigenvalue + 1e-15
+        check = _check("gram_min_eigenvalue", gram, DEFAULT_TOLERANCES["gram_min"], ">=")
+        assert not check["pass"]
+
+
+def test_property_report_memory_stays_near_one_table():
+    system, sched = random_config(300, dim=2, n=11)
+    table = biprob_table(system, sched)
+    assert table.n_sequences == 2048
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        property_report(table)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < 1.5 * table.matrix.nbytes
+
+
+def test_property_report_makes_no_table_sized_eigensolve(monkeypatch):
+    sizes = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def spy(a, *args, _solver=solver, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    for seed, dim, n in [(301, 2, 6), (302, 3, 3), (303, 4, 3)]:
+        table = biprob_table(*random_config(seed, dim=dim, n=n))
+        assert table.n_sequences > dim * dim
+        sizes.clear()
+        property_report(table)
+        assert sizes and max(sizes) <= dim * dim

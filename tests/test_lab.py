@@ -359,7 +359,7 @@ def sampler_cases(draw):
     return system, schedule, draw(st.integers(1, 200)), draw(st.integers(0, 2**31 - 1))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(sampler_cases())
 def test_sampler_matches_per_trial_reference(case):
     system, schedule, n_samples, seed = case

@@ -21,7 +21,9 @@ from bitraj import (
     zeno_rate,
     zeno_scan,
 )
+from bitraj import phenomena
 from bitraj.coarse import CoarseSchedule
+from bitraj.engine import ConsistencyError
 from bitraj.master import piecewise_propagator
 from bitraj.phenomena import uncertainty_csv
 
@@ -171,7 +173,7 @@ def test_zeno_rate_on_stiff_systems(scale):
     assert zeno_rate(system, DEVZ, "u", 0.0) == pytest.approx(scale, rel=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     st.integers(2, 5),
     st.floats(-2.0, 3.0),
@@ -188,6 +190,20 @@ def test_zeno_rate_is_the_energy_spread_at_any_scale(dim, log_scale, seed):
     spread = math.sqrt(max((psi.conj() @ h @ h @ psi).real - mean**2, 0.0))
     rate = zeno_rate(SystemSpec(dim=dim, hamiltonian=h), dev, dev.outcomes[0], 0.0)
     assert rate == pytest.approx(spread, rel=1e-9, abs=1e-12 * 10.0**log_scale)
+
+
+def test_zeno_rate_gate_catches_a_wrong_survival_curve_at_large_norm(monkeypatch):
+    # decay 1 - P off by a relative 1e-3 moves the finite difference by 1e-3 of
+    # the variance (1e5 at ||H|| = 1e4), which the gate must not absorb
+    exact = phenomena.chain_probability
+
+    def skewed(*args):
+        return 1.0 - (1.0 - exact(*args)) * (1.0 + 1e-3)
+
+    monkeypatch.setattr(phenomena, "chain_probability", skewed)
+    system = SystemSpec(dim=2, hamiltonian=1e4 * SX)
+    with pytest.raises(ConsistencyError, match="finite-difference"):
+        zeno_rate(system, DEVZ, "u", 0.0)
 
 
 def test_zeno_rejects_coarse_readout():
