@@ -613,6 +613,7 @@ def _cmd_table(ctx: _Context) -> None:
             "l1_norm": float(np.abs(m).sum()),
             "normalization_error": abs(complex(m.sum()) - 1.0),
             "schedule_digest": table.schedule_digest,
+            "table_digest": table.digest,
         }
     )
     ctx.checks.append(_check("hermitianity", herm, ctx.tol("hermitianity"), "<="))
@@ -627,6 +628,7 @@ def _cmd_verify(ctx: _Context) -> None:
     rep = property_report(table)
     ctx.results.update(rep.as_dict())
     ctx.results["schedule_digest"] = table.schedule_digest
+    ctx.results["table_digest"] = table.digest
     ctx.checks.extend(
         [
             _check("normalization", rep.normalization_error, ctx.tol("normalization"), "<="),

@@ -16,6 +16,8 @@ sequences.  ``property_report`` checks positivity through the same factor: its
 ``min_gram_eigenvalue`` is the certified lower bound
 ``lambda_min(W W^H) - ||Q - W W^H||_F`` from a d^2 x d^2 eigensolve, and its
 other witnesses are maxima and sums with ``|Q|`` as the only N x N temporary.
+Bi-consistency compares each blocked, fixed-order ``marginalize_pair`` with a
+fresh shorter table, diffed in place and reduced one row block at a time.
 """
 
 from __future__ import annotations
@@ -332,6 +334,21 @@ class BiProbTable:
     def schedule_digest(self) -> str:
         return self.schedule.digest
 
+    @property
+    def digest(self) -> str:
+        """Digest of everything the table is computed from.
+
+        Unlike ``schedule_digest`` it covers the system: its dimension and
+        Hamiltonian, next to the schedule's times, devices and initial state.
+        """
+        return canonical_digest(
+            {
+                "dim": self.system.dim,
+                "hamiltonian": matrix_to_json(self.system.hamiltonian),
+                "schedule": self.schedule.digest_payload(),
+            }
+        )
+
     def to_json(self) -> dict:
         labels = self._sequence_labels(label_to_json)
         entries = [
@@ -393,23 +410,64 @@ def _table_leaves(system: SystemSpec, schedule: Schedule) -> np.ndarray:
     return leaves.reshape(leaves.shape[0], -1)
 
 
+#: Bytes of one block of table rows that ``marginalize_pair`` and
+#: ``property_report`` hold at a time.
+_BLOCK_BYTES = 1 << 22
+
+
 def marginalize_pair(table: BiProbTable, position: int) -> BiProbTable:
-    """Sum out entry ``position`` on both branches (the shorter-schedule table)."""
+    """Sum out entry ``position`` on both branches (the shorter-schedule table).
+
+    With the codes split as ``(a, i, b)`` around the summed digit ``i`` (radix
+    r), every output entry is reduced in one fixed order: first the r row
+    slabs ``Q[(a, i, b), :]`` in turn over i, then the r column slabs of that
+    partial sum in turn over j, each stage ``((s_0 + s_1) + s_2) + ...``.  The
+    work runs one block of output rows at a time through a scratch buffer of
+    about ``_BLOCK_BYTES``; the order does not depend on the block size, so
+    neither do the bits.
+    """
     n = len(table.schedule)
     if not 0 <= position < n:
         raise IndexError(f"position {position} out of range for schedule of length {n}")
     if n == 1:
         raise ValueError("cannot marginalize the only entry; the result would be a scalar")
+    m = table.matrix
     radices = table.radices
-    shaped = table.matrix.reshape(radices + radices)
-    summed = shaped.sum(axis=(position, n + position))
-    shorter = table.schedule.without(position)
-    new_total = table.n_sequences // radices[position]
-    return BiProbTable(
-        system=table.system,
-        schedule=shorter,
-        matrix=summed.reshape(new_total, new_total),
-    )
+    r = radices[position]
+    total = table.n_sequences
+    inner = math.prod(radices[position + 1:])
+    outer = total // (r * inner)
+    new_total = total // r
+    q = m.reshape(outer, r, inner, total)
+    out = np.empty((new_total, new_total), dtype=m.dtype)
+    # a block is a run of output rows (a, b): whole b-ranges for several a when
+    # they fit, otherwise part of the b-range of one a
+    rows = max(1, _BLOCK_BYTES // m[0].nbytes)
+    a_step = max(1, rows // inner)
+    b_step = min(inner, rows)
+    scratch = np.empty(min(rows, new_total) * total, dtype=m.dtype)
+    for a0 in range(0, outer, a_step):
+        a1 = min(a0 + a_step, outer)
+        for b0 in range(0, inner, b_step):
+            b1 = min(b0 + b_step, inner)
+            k = (a1 - a0) * (b1 - b0)
+            partial = scratch[: k * total].reshape(a1 - a0, b1 - b0, total)
+            _sum_in_order([q[a0:a1, i, b0:b1] for i in range(r)], partial)
+            cols = partial.reshape(k, outer, r, inner)
+            start = a0 * inner + b0
+            dest = out[start:start + k].reshape(k, outer, inner)
+            _sum_in_order([cols[:, :, j] for j in range(r)], dest)
+    return BiProbTable(system=table.system, schedule=table.schedule.without(position), matrix=out)
+
+
+def _sum_in_order(terms: Sequence[np.ndarray], out: np.ndarray) -> None:
+    """``out = ((terms[0] + terms[1]) + terms[2]) + ...``, elementwise."""
+    if len(terms) == 1:
+        np.copyto(out, terms[0])
+    else:
+        np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        out += term
 
 
 @dataclass(frozen=True)
@@ -447,16 +505,16 @@ class PropertyReport:
         }
 
 
-#: Bytes of one row block of a table that ``property_report`` holds at a time.
-_BLOCK_BYTES = 1 << 22
-
-
 def property_report(table: BiProbTable) -> PropertyReport:
     """Evaluate normalization, bi-consistency, causality, hermitianity and
     positive semi-definiteness witnesses on a table.
 
     Bi-consistency is checked at every position against a freshly recomputed
-    table of the shortened schedule, not against a cached marginal.
+    table of the shortened schedule, not against a cached marginal.  The
+    fresh table is subtracted in place from the marginal, which the report
+    owns, and the largest magnitude is taken one row block at a time through
+    a reused float buffer; each marginal/fresh pair is dropped before the
+    next position, so at most one is alive.
 
     Positivity is bounded from below without an N x N eigensolve.  With ``W``
     the (N, d^2) leaves recomputed from the schedule, ``herm(Q) - W W^H =
@@ -471,17 +529,10 @@ def property_report(table: BiProbTable) -> PropertyReport:
     m = table.matrix
     normalization_error = abs(complex(m.sum()) - 1.0)
 
-    max_biconsistency = 0.0
-    n = len(table.schedule)
-    for pos in range(n):
-        if n == 1:
-            marg = complex(m.sum())
-            max_biconsistency = max(max_biconsistency, abs(marg - 1.0))
-            continue
-        marg = marginalize_pair(table, pos)
-        fresh = biprob_table(table.system, table.schedule.without(pos), force_large=True)
-        diff = np.abs(marg.matrix - fresh.matrix).max()
-        max_biconsistency = max(max_biconsistency, float(diff))
+    if len(table.schedule) == 1:  # summing out the only entry leaves the normalization
+        max_biconsistency = normalization_error
+    else:
+        max_biconsistency = _max_biconsistency(table)
 
     total = table.n_sequences
     last_r = table.radices[-1]
@@ -528,6 +579,26 @@ def property_report(table: BiProbTable) -> PropertyReport:
         max_diagonal_negativity=max_diag_neg,
         l1_norm=l1,
     )
+
+
+def _max_biconsistency(table: BiProbTable) -> float:
+    """Largest ``|marginal - fresh shorter table|`` over every position, streamed."""
+    total = table.n_sequences
+    # float magnitudes of one row block (at least one row) of any marginal
+    mags_buf = np.empty(min(total * total, max(total, _BLOCK_BYTES // table.matrix.itemsize)))
+    worst = 0.0
+    for pos in range(len(table.schedule)):
+        diff = marginalize_pair(table, pos).matrix
+        fresh = biprob_table(table.system, table.schedule.without(pos), force_large=True).matrix
+        rows = mags_buf.size // diff.shape[1]
+        for start in range(0, diff.shape[0], rows):
+            block = diff[start:start + rows]
+            block -= fresh[start:start + rows]
+            mags = mags_buf[: block.size].reshape(block.shape)
+            np.abs(block, out=mags)
+            worst = max(worst, float(mags.max()))
+        del diff, fresh, block  # ``block`` views ``diff``; free the pair before the next
+    return worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -83,6 +83,19 @@ def test_table_verb(tmp_path):
     assert len(table_csv.splitlines()) == 17
 
 
+@pytest.mark.parametrize("verb", ["table", "verify"])
+def test_table_digest_tells_hamiltonians_apart(tmp_path, verb):
+    cfg = dict(ZX_BASE, command=verb)
+    driven = dict(cfg, system={"dim": 2, "hamiltonian": mat(0.5 * SZ)})
+    (tmp_path / "free").mkdir()
+    (tmp_path / "driven").mkdir()
+    _, free, _ = run(tmp_path / "free", verb, cfg)
+    _, moved, _ = run(tmp_path / "driven", verb, driven)
+    assert free["results"]["schedule_digest"] == moved["results"]["schedule_digest"]
+    assert len(free["results"]["table_digest"]) == 64
+    assert free["results"]["table_digest"] != moved["results"]["table_digest"]
+
+
 def test_coarse_verb(tmp_path):
     cfg = dict(ZX_BASE, command="coarse")
     cfg["schedule"] = {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitraj import (
     BiSequence,
@@ -13,6 +15,7 @@ from bitraj import (
     compose,
     factorization_delta,
     identical_relations_check,
+    interference_term,
     product_state,
 )
 from bitraj.engine import ConsistencyError
@@ -182,3 +185,55 @@ def test_identical_relations_random(seed):
     assert rep.nonpositive
     assert rep.antisymmetry_error <= 1e-10
     assert rep.sqrt_identity_error <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the fixed 1e-10 route gates across Hamiltonian scales
+
+
+@st.composite
+def tandem_cases(draw):
+    """Two independent systems measured at shared times.
+
+    Dimension 2-4 each, 2-3 entries, random bases, full-rank states and
+    ||H||_2 from 1e-2 to 1e3; one bi-sequence per system.
+    """
+    n = draw(st.integers(2, 3))
+    dims = draw(st.lists(st.integers(2, 4), min_size=2, max_size=2))
+    log_scale = draw(st.floats(-2.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    times = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+    parts = []
+    for dim in dims:
+        h = gaussian(dim, dim)
+        h = h + h.conj().T
+        system = SystemSpec(dim=dim, hamiltonian=h * 10.0**log_scale / np.linalg.norm(h, 2))
+        a = gaussian(dim, dim)
+        init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+        entries = []
+        for j, t in enumerate(times):
+            v = np.linalg.qr(gaussian(dim, dim))[0]
+            projs = tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(dim))
+            dev = Device(name=f"D{j}", outcomes=tuple(range(dim)), projectors=projs)
+            entries.append((float(t), dev))
+        bi = BiSequence(*(tuple(int(f) for f in rng.integers(0, dim, size=n)) for _ in range(2)))
+        parts.append((system, Schedule(entries=tuple(entries), init=init), bi))
+    return parts
+
+
+@settings(max_examples=40)
+@given(tandem_cases())
+def test_fixed_route_gates_hold_across_hamiltonian_scales(case):
+    # both routes compare values bounded by 1 in magnitude (probabilities and
+    # bi-probabilities), so their round-off does not grow with ||H||; neither
+    # call may raise ConsistencyError
+    for system, sched, bi in case:
+        for pos, f in enumerate(bi.plus):
+            pair = (f, (f + 1) % system.dim)
+            interference_term(system, sched, pos, pair, bi.plus)
+    (sys_a, sched_a, bi_a), (sys_b, sched_b, bi_b) = case
+    co_interference(sys_a, sys_b, sched_a, sched_b, bi_a, bi_b)

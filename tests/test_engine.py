@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bitraj import (
@@ -23,6 +23,7 @@ from bitraj import (
     property_report,
     uniform_bound_check,
 )
+from bitraj import engine
 from bitraj.cli import DEFAULT_TOLERANCES, _check
 from bitraj.engine import (
     PropertyReport,
@@ -476,3 +477,76 @@ def test_property_report_makes_no_table_sized_eigensolve(monkeypatch):
         sizes.clear()
         property_report(table)
         assert sizes and max(sizes) <= dim * dim
+
+
+@pytest.mark.parametrize("dim, n", [(2, 11), (3, 7)])
+def test_property_report_keeps_one_marginal_alive(dim, n):
+    # the peak is |Q| (0.5x) or one marginal/fresh pair plus a block of
+    # scratch; a second live pair or a whole-marginal diff temporary breaks 0.6x
+    table = biprob_table(*random_config(300 + dim, dim=dim, n=n))
+    assert table.n_sequences == dim**n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        property_report(table)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < 0.6 * table.matrix.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the order of the pair marginal's sums
+
+
+def ordered_marginal(matrix, radices, pos):
+    """Sum the row slabs Q[(a, i, b), :] in turn over i, then the column slabs over j."""
+    r = radices[pos]
+    total = matrix.shape[0]
+    inner = math.prod(radices[pos + 1:])
+    outer = total // (r * inner)
+    slabs = matrix.reshape(outer, r, inner, total)
+    rows = slabs[:, 0]
+    for i in range(1, r):
+        rows = rows + slabs[:, i]
+    cols = rows.reshape(outer * inner, outer, r, inner)
+    out = cols[:, :, 0]
+    for j in range(1, r):
+        out = out + cols[:, :, j]
+    return out.reshape(total // r, total // r)
+
+
+@settings(max_examples=40)
+@given(report_cases(), st.integers(2, 5))
+def test_marginalize_pair_sums_in_a_fixed_order(case, few):
+    table = biprob_table(*case)
+    n = len(table.schedule)
+    assume(n > 1)
+    radices = table.radices
+    row_bytes = table.matrix[0].nbytes
+    eps = np.finfo(float).eps
+    for pos in range(n):
+        want = ordered_marginal(table.matrix, radices, pos)
+        for block in (row_bytes, few * row_bytes, engine._BLOCK_BYTES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_BLOCK_BYTES", block)
+                got = marginalize_pair(table, pos)
+            assert got.matrix.tobytes() == want.tobytes()  # bit for bit at every block size
+        # within round-off of numpy's own two-axis reduction: r^2 terms per entry
+        axes = (pos, n + pos)
+        old = table.matrix.reshape(radices + radices).sum(axis=axes).reshape(want.shape)
+        mass = np.abs(table.matrix).reshape(radices + radices).sum(axis=axes).reshape(want.shape)
+        assert (np.abs(want - old) <= radices[pos] ** 2 * eps * mass).all()
+
+
+# ---------------------------------------------------------------------------
+# digests
+
+
+def test_table_digest_covers_the_hamiltonian():
+    system, sched = random_config(21, dim=2, n=2)
+    other = SystemSpec(dim=2, hamiltonian=system.hamiltonian + SZ)
+    table, same, moved = (biprob_table(s, sched) for s in (system, system, other))
+    assert table.schedule_digest == moved.schedule_digest
+    assert table.digest == same.digest
+    assert table.digest != moved.digest
