@@ -437,3 +437,291 @@ def test_default_init_is_maximally_mixed(tmp_path):
     cfg.pop("init")
     code, report, _ = run(tmp_path, "verify", cfg)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# every structural rejection of the config, pinned: exit 2, the JSON pointer
+# of the object that holds the offending key, and the key's name
+
+MIXED_BASE = dict(ZX_BASE, init={"maximally_mixed": True})
+PINNED_BASES = {
+    "zx": dict(ZX_BASE, tolerances={"normalization": 1e-8}),
+    "mixed": MIXED_BASE,
+    "coarse": dict(
+        ZX_BASE,
+        command="coarse",
+        schedule={
+            "entries": [
+                {"time": 1.0, "device": "X", "resolution": {"blocks": [["+", "-"]], "labels": ["any"]}},
+                {"time": 2.0, "device": "Z"},
+            ]
+        },
+        params={"outcomes": ["any", "u"], "pair": ["+", "-"], "position": 0},
+    ),
+    "markov": {
+        "schema_version": 1,
+        "command": "markov",
+        "system": {"dim": 2, "hamiltonian": mat(0.5 * SX)},
+        "devices": [DEV_Z],
+        "init": {"weights": [{"device": "Z", "outcome": "u", "weight": 1.0}], "time": 0.0},
+        "params": {"device": "Z", "times": [0.5, 1.1]},
+    },
+    "zeno": {
+        "schema_version": 1,
+        "command": "zeno",
+        "system": {"dim": 2, "hamiltonian": mat(0.5 * SX)},
+        "devices": [DEV_Z],
+        "params": {"device": "Z", "outcome": "u", "T": 1.0, "n_list": [1, 10]},
+    },
+    "uncertainty": {
+        "schema_version": 1,
+        "command": "uncertainty",
+        "system": {"dim": 2, "hamiltonian": ZERO2},
+        "devices": [DEV_X, DEV_Z],
+        "params": {"device_k": "X", "device_l": "Z", "t": 0.0, "dt": 0.0, "n_samples": 50, "seed": 3},
+    },
+    "compose": {
+        "schema_version": 1,
+        "command": "compose",
+        "system": {"dim": 2, "hamiltonian": ZERO2},
+        "composite": {
+            "a": {
+                "system": {"dim": 2, "hamiltonian": ZERO2},
+                "devices": [DEV_X, DEV_Z],
+                "schedule": {"entries": [{"time": 1.0, "device": "X"}, {"time": 2.0, "device": "Z"}]},
+                "init": {"density": mat(UP)},
+            },
+            "b": {
+                "system": {"dim": 2, "hamiltonian": ZERO2},
+                "devices": [DEV_Z],
+                "schedule": {"entries": [{"time": 1.0, "device": "Z"}, {"time": 2.0, "device": "Z"}]},
+            },
+            "couplings": [{"op_a": mat(SZ), "op_b": mat(SZ), "strength": 0.3}],
+        },
+    },
+    "cointerference": {
+        "schema_version": 1,
+        "command": "compose",
+        "system": {"dim": 2, "hamiltonian": ZERO2},
+        "composite": {
+            "a": {
+                "system": {"dim": 2, "hamiltonian": ZERO2},
+                "devices": [DEV_X],
+                "schedule": {"entries": [{"time": 1.0, "device": "X"}]},
+            },
+            "b": {
+                "system": {"dim": 2, "hamiltonian": ZERO2},
+                "devices": [DEV_Z],
+                "schedule": {"entries": [{"time": 1.0, "device": "Z"}]},
+            },
+        },
+        "params": {"bi_a": {"plus": ["+"], "minus": ["-"]}, "bi_b": {"plus": ["u"], "minus": ["u"]}},
+    },
+    "map": {
+        "schema_version": 1,
+        "command": "map-compare",
+        "system": {"dim": 2, "hamiltonian": ZERO2},
+        "environment": {"dim": 2, "hamiltonian": ZERO2},
+        "couplings": [{"op_system": mat(SZ), "op_environment": mat(SZ), "strength": 0.37}],
+        "env_init": {"density": mat(np.eye(2) / 2)},
+        "params": {"t": 1.7, "slices": [1, 2], "cross_check": True},
+    },
+}
+
+DELETE = object()
+ENTRY0 = ("schedule", "entries", 0)
+DEV0 = ("devices", 0)
+RES = ENTRY0 + ("resolution",)
+W0 = ("init", "weights", 0)
+FACTOR_A = ("composite", "a")
+COUPLING_AB = ("composite", "couplings", 0)
+COUPLING_ENV = ("couplings", 0)
+HAM = ("system", "hamiltonian")
+BI_A = ("params", "bi_a")
+
+# (base, path, new value or DELETE); the path runs to the key that is added,
+# removed or given a bad value, or into an array below it
+PINNED_REJECTIONS = [
+    # one unknown key per object kind
+    ("zx", ("bogus_key",), 1),
+    ("zx", ("system", "bogus_key"), 1),
+    ("zx", DEV0 + ("bogus_key",), 1),
+    ("coarse", RES + ("bogus_key",), 1),
+    ("zx", ENTRY0 + ("bogus_key",), 1),
+    ("zx", ("schedule", "bogus_key"), 1),
+    ("zx", ("init", "bogus_key"), 1),
+    ("markov", W0 + ("bogus_key",), 1),
+    ("compose", ("composite", "bogus_key"), 1),
+    ("compose", FACTOR_A + ("bogus_key",), 1),
+    ("compose", COUPLING_AB + ("bogus_key",), 1),
+    ("map", COUPLING_ENV + ("bogus_key",), 1),
+    ("map", ("env_init", "bogus_key"), 1),
+    ("map", ("environment", "bogus_key"), 1),
+    ("cointerference", BI_A + ("bogus_key",), 1),
+    ("zeno", ("params", "bogus_key"), 1),
+    ("zx", ("tolerances", "bogus_key"), 1),
+    # one missing required key per object kind
+    ("zx", ("schema_version",), DELETE),
+    ("zx", ("command",), DELETE),
+    ("zx", ("system",), DELETE),
+    ("zx", ("system", "dim"), DELETE),
+    ("zx", HAM, DELETE),
+    ("zx", DEV0 + ("name",), DELETE),
+    ("coarse", RES + ("blocks",), DELETE),
+    ("zx", ENTRY0 + ("time",), DELETE),
+    ("zx", ENTRY0 + ("device",), DELETE),
+    ("zx", ("schedule", "entries"), DELETE),
+    ("markov", W0 + ("device",), DELETE),
+    ("markov", W0 + ("outcome",), DELETE),
+    ("markov", W0 + ("weight",), DELETE),
+    ("compose", ("composite", "a"), DELETE),
+    ("compose", ("composite", "b"), DELETE),
+    ("compose", FACTOR_A + ("system",), DELETE),
+    ("compose", FACTOR_A + ("devices",), DELETE),
+    ("compose", FACTOR_A + ("schedule",), DELETE),
+    ("compose", COUPLING_AB + ("op_a",), DELETE),
+    ("compose", COUPLING_AB + ("op_b",), DELETE),
+    ("map", COUPLING_ENV + ("op_system",), DELETE),
+    ("map", COUPLING_ENV + ("op_environment",), DELETE),
+    ("map", ("env_init", "density"), DELETE),
+    ("map", ("environment", "dim"), DELETE),
+    ("cointerference", BI_A + ("plus",), DELETE),
+    ("cointerference", BI_A + ("minus",), DELETE),
+    # wrong types: objects and arrays
+    ("zx", ("system",), []),
+    ("zx", DEV0, "X"),
+    ("zx", ("devices",), {}),
+    ("zx", ("schedule",), []),
+    ("zx", ENTRY0, 1.0),
+    ("zx", ("schedule", "entries"), {}),
+    ("zx", ("init",), 1),
+    ("zx", ("params",), []),
+    ("zx", ("tolerances",), 1e-8),
+    ("compose", FACTOR_A, []),
+    ("coarse", RES, ["+", "-"]),
+    ("coarse", RES + ("blocks", 0), "+"),
+    ("zeno", ("params", "n_list"), 10),
+    ("zx", HAM, 0),
+    ("zx", HAM + (0,), "row"),
+    ("zx", HAM + (0, 0), 0.0),
+    ("zx", HAM + (0, 0), [0.0]),
+    ("zx", HAM + (0, 0), [0.0, 0.0, 0.0]),
+    ("zx", HAM + (0, 0, 1), "0"),
+    # wrong types: numbers, booleans offered as numbers
+    ("zx", HAM + (0, 0, 0), True),
+    ("zx", ENTRY0 + ("time",), True),
+    ("zx", ENTRY0 + ("time",), "1.0"),
+    ("zx", ("init", "time"), False),
+    ("markov", W0 + ("weight",), False),
+    ("compose", COUPLING_AB + ("strength",), True),
+    ("map", COUPLING_ENV + ("strength",), "0.37"),
+    ("zx", ("tolerances", "normalization"), True),
+    ("zeno", ("params", "T"), True),
+    ("uncertainty", ("params", "t"), True),
+    ("markov", ("params", "times", 0), True),
+    ("zx", ("params", "threshold"), "1e-8"),
+    ("uncertainty", ("params", "dt"), True),
+    ("uncertainty", ("params", "dt"), -0.5),
+    # integers, booleans offered as integers
+    ("zx", ("system", "dim"), True),
+    ("zx", ("system", "dim"), 1.5),
+    ("zx", ("system", "dim"), 0),
+    ("zeno", ("params", "n_list", 0), True),
+    ("zeno", ("params", "n_list", 0), 0),
+    ("map", ("params", "slices", 0), 2.5),
+    ("uncertainty", ("params", "n_samples"), True),
+    ("uncertainty", ("params", "n_samples"), 0),
+    ("uncertainty", ("params", "seed"), True),
+    ("uncertainty", ("params", "seed"), -1),
+    ("coarse", ("params", "position"), False),
+    ("coarse", ("params", "position"), -1),
+    # strings
+    ("zx", DEV0 + ("name",), 5),
+    ("zx", ("system", "label"), True),
+    ("zx", ENTRY0 + ("device",), 1),
+    ("markov", W0 + ("device",), None),
+    ("zeno", ("params", "device"), 0),
+    ("uncertainty", ("params", "device_k"), True),
+    ("uncertainty", ("params", "device_l"), None),
+    # booleans
+    ("mixed", ("init", "maximally_mixed"), 1),
+    ("map", ("params", "cross_check"), 1),
+    ("map", ("params", "cross_check"), "true"),
+    # labels
+    ("zx", DEV0 + ("outcomes", 0), None),
+    ("zx", DEV0 + ("outcomes", 0), ["+"]),
+    ("coarse", RES + ("blocks", 0, 0), None),
+    ("coarse", RES + ("labels", 0), {}),
+    ("markov", W0 + ("outcome",), None),
+    ("zeno", ("params", "outcome"), []),
+    ("coarse", ("params", "outcomes", 0), None),
+    ("coarse", ("params", "pair", 0), None),
+    ("cointerference", BI_A + ("plus", 0), None),
+    # an empty array wherever one item is the minimum
+    ("zx", ("devices",), []),
+    ("zx", DEV0 + ("outcomes",), []),
+    ("zx", DEV0 + ("projectors",), []),
+    ("zx", DEV0 + ("projectors", 0), []),
+    ("zx", HAM, []),
+    ("zx", HAM + (0,), []),
+    ("zx", ("schedule", "entries"), []),
+    ("zx", ("init", "density"), []),
+    ("coarse", RES + ("blocks",), []),
+    ("coarse", RES + ("blocks", 0), []),
+    ("markov", ("init", "weights"), []),
+    ("compose", FACTOR_A + ("devices",), []),
+    ("compose", COUPLING_AB + ("op_a",), []),
+    ("map", COUPLING_ENV + ("op_environment",), []),
+    ("map", ("env_init", "density"), []),
+    ("map", ("environment", "hamiltonian"), []),
+    ("cointerference", BI_A + ("plus",), []),
+    ("cointerference", BI_A + ("minus",), []),
+    ("zeno", ("params", "n_list"), []),
+    ("map", ("params", "slices"), []),
+    # fixed lengths, the version and the verb
+    ("coarse", ("params", "pair"), ["+", "-", "+"]),
+    ("coarse", ("params", "pair"), ["+"]),
+    ("markov", ("params", "times"), [0.5]),
+    ("zx", ("schema_version",), 2),
+    ("zx", ("schema_version",), True),
+    ("zx", ("command",), "frobnicate"),
+]
+
+
+def _mutated(base: dict, path: tuple, value) -> dict:
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for step in path[:-1]:
+        node = node.setdefault(step, {}) if isinstance(node, dict) else node[step]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("base", sorted(PINNED_BASES))
+def test_pinned_bases_run(tmp_path, base):
+    cfg = PINNED_BASES[base]
+    code, report, _ = run(tmp_path, cfg["command"], cfg)
+    assert code == 0, base
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    PINNED_REJECTIONS,
+    ids=[
+        f"{b}:/{'/'.join(map(str, p))}={'DELETE' if v is DELETE else json.dumps(v)}"
+        for b, p, v in PINNED_REJECTIONS
+    ],
+)
+def test_config_rejection_is_pinned(tmp_path, capsys, base, path, value):
+    cfg = _mutated(PINNED_BASES[base], path, value)
+    code = main([PINNED_BASES[base]["command"], "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    # the last key on the path, and the pointer of the object that holds it
+    at = max(i for i, step in enumerate(path) if isinstance(step, str))
+    parent = "/" + "/".join(str(step) for step in path[:at])
+    assert f"config error at {parent}" in err
+    assert path[at] in err
