@@ -19,9 +19,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
-import jsonschema
 import numpy as np
 
 from .coarse import (
@@ -39,6 +38,7 @@ from .engine import (
     ConsistencyError,
     Schedule,
     TableSizeError,
+    _max_hermitianity,
     biprob_table,
     chain_probabilities,
     property_report,
@@ -107,221 +107,133 @@ class CliError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config schema
+# config shape
 
-_MATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "array",
-        "minItems": 1,
-        "items": {
-            "type": "array",
-            "prefixItems": [{"type": "number"}, {"type": "number"}],
-            "minItems": 2,
-            "maxItems": 2,
-            "items": False,
-        },
-    },
+# A shape is a leaf name from ``_LEAVES``; ``[item, min_len, max_len]`` for an
+# array (``max_len`` None: unbounded); or a dict of key -> shape for an object,
+# where a key ending in ``?`` is optional and any key not listed is rejected.
+_LABEL = "a label (string, number or boolean)"
+_VERB = "one of " + ", ".join(VERBS)
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _integer(x) -> bool:
+    return _number(x) and (isinstance(x, int) or x.is_integer())
+
+
+_LEAVES = {
+    "a number": _number,
+    "a number >= 0": lambda x: _number(x) and not x < 0,
+    "an integer >= 0": lambda x: _integer(x) and not x < 0,
+    "an integer >= 1": lambda x: _integer(x) and not x < 1,
+    "a string": lambda x: isinstance(x, str),
+    "a boolean": lambda x: isinstance(x, bool),
+    _LABEL: lambda x: isinstance(x, (str, int, float)),
+    "schema version 1": lambda x: _number(x) and x == 1,
+    _VERB: lambda x: isinstance(x, str) and x in VERBS,
 }
-_LABEL = {"type": ["string", "number", "boolean"]}
-_SYSTEM = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["dim", "hamiltonian"],
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "hamiltonian": _MATRIX,
-        "label": {"type": "string"},
-    },
-}
+_MATRIX = [[["a number", 2, 2], 1, None], 1, None]  # rows of [re, im] pairs
+_LABELS = [_LABEL, 1, None]
+_SYSTEM = {"dim": "an integer >= 1", "hamiltonian": _MATRIX, "label?": "a string"}
 _DEVICE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {
-        "name": {"type": "string"},
-        "observable": _MATRIX,
-        "outcomes": {"type": "array", "items": _LABEL, "minItems": 1},
-        "projectors": {"type": "array", "items": _MATRIX, "minItems": 1},
-    },
+    "name": "a string",
+    "observable?": _MATRIX,
+    "outcomes?": _LABELS,
+    "projectors?": [_MATRIX, 1, None],
 }
-_RESOLUTION = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["blocks"],
-    "properties": {
-        "blocks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "items": _LABEL, "minItems": 1},
-        },
-        "labels": {"type": "array", "items": _LABEL},
-    },
-}
-_ENTRY = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["time", "device"],
-    "properties": {
-        "time": {"type": "number"},
-        "device": {"type": "string"},
-        "resolution": _RESOLUTION,
-    },
-}
+_DEVICES = [_DEVICE, 1, None]
+_RESOLUTION = {"blocks": [_LABELS, 1, None], "labels?": [_LABEL, 0, None]}
 _SCHEDULE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["entries"],
-    "properties": {"entries": {"type": "array", "items": _ENTRY, "minItems": 1}},
+    "entries": [{"time": "a number", "device": "a string", "resolution?": _RESOLUTION}, 1, None]
 }
+_WEIGHT = {"device": "a string", "outcome": _LABEL, "weight": "a number"}
 _INIT = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "density": _MATRIX,
-        "maximally_mixed": {"type": "boolean"},
-        "weights": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["device", "outcome", "weight"],
-                "properties": {
-                    "device": {"type": "string"},
-                    "outcome": _LABEL,
-                    "weight": {"type": "number"},
-                },
-            },
-        },
-        "time": {"type": "number"},
-    },
+    "density?": _MATRIX,
+    "maximally_mixed?": "a boolean",
+    "weights?": [_WEIGHT, 1, None],
+    "time?": "a number",
 }
-_COUPLING_AB = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["op_a", "op_b"],
-    "properties": {
-        "op_a": _MATRIX,
-        "op_b": _MATRIX,
-        "strength": {"type": "number"},
-    },
-}
-_FACTOR = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system", "devices", "schedule"],
-    "properties": {
-        "system": _SYSTEM,
-        "devices": {"type": "array", "items": _DEVICE, "minItems": 1},
-        "schedule": _SCHEDULE,
-        "init": _INIT,
-    },
-}
-_COMPOSITE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["a", "b"],
-    "properties": {
+_FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
+_BI = {"plus": _LABELS, "minus": _LABELS}
+_CONFIG_SHAPE = {
+    "schema_version": "schema version 1",
+    "command": _VERB,
+    "system": _SYSTEM,
+    "devices?": _DEVICES,
+    "schedule?": _SCHEDULE,
+    "init?": _INIT,
+    "composite?": {
         "a": _FACTOR,
         "b": _FACTOR,
-        "couplings": {"type": "array", "items": _COUPLING_AB},
+        "couplings?": [{"op_a": _MATRIX, "op_b": _MATRIX, "strength?": "a number"}, 0, None],
     },
-}
-_ENV_COUPLING = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["op_system", "op_environment"],
-    "properties": {
-        "op_system": _MATRIX,
-        "op_environment": _MATRIX,
-        "strength": {"type": "number"},
+    "environment?": _SYSTEM,
+    "couplings?": [
+        {"op_system": _MATRIX, "op_environment": _MATRIX, "strength?": "a number"}, 0, None
+    ],
+    "env_init?": {"density": _MATRIX},
+    "params?": {
+        "T?": "a number",
+        "n_list?": ["an integer >= 1", 1, None],
+        "slices?": ["an integer >= 1", 1, None],
+        "t?": "a number",
+        "dt?": "a number >= 0",
+        "n_samples?": "an integer >= 1",
+        "seed?": "an integer >= 0",
+        "outcome?": _LABEL,
+        "outcomes?": [_LABEL, 0, None],
+        "position?": "an integer >= 0",
+        "pair?": [_LABEL, 2, 2],
+        "times?": ["a number", 2, None],
+        "device?": "a string",
+        "device_k?": "a string",
+        "device_l?": "a string",
+        "threshold?": "a number",
+        "cross_check?": "a boolean",
+        "bi_a?": _BI,
+        "bi_b?": _BI,
     },
-}
-_BI = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["plus", "minus"],
-    "properties": {
-        "plus": {"type": "array", "items": _LABEL, "minItems": 1},
-        "minus": {"type": "array", "items": _LABEL, "minItems": 1},
-    },
-}
-_PARAMS = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "T": {"type": "number"},
-        "n_list": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "slices": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "t": {"type": "number"},
-        "dt": {"type": "number", "minimum": 0},
-        "n_samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "outcome": _LABEL,
-        "outcomes": {"type": "array", "items": _LABEL},
-        "position": {"type": "integer", "minimum": 0},
-        "pair": {"type": "array", "items": _LABEL, "minItems": 2, "maxItems": 2},
-        "times": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "device": {"type": "string"},
-        "device_k": {"type": "string"},
-        "device_l": {"type": "string"},
-        "threshold": {"type": "number"},
-        "cross_check": {"type": "boolean"},
-        "bi_a": _BI,
-        "bi_b": _BI,
-    },
-}
-_TOLERANCES = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {k: {"type": "number"} for k in DEFAULT_TOLERANCES},
+    "tolerances?": {key + "?": "a number" for key in DEFAULT_TOLERANCES},
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version", "command", "system"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "command": {"enum": list(VERBS)},
-        "system": _SYSTEM,
-        "devices": {"type": "array", "items": _DEVICE, "minItems": 1},
-        "schedule": _SCHEDULE,
-        "init": _INIT,
-        "composite": _COMPOSITE,
-        "environment": _SYSTEM,
-        "couplings": {"type": "array", "items": _ENV_COUPLING},
-        "env_init": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["density"],
-            "properties": {"density": _MATRIX},
-        },
-        "params": _PARAMS,
-        "tolerances": _TOLERANCES,
-    },
-}
+
+def _shape_errors(value: Any, shape: Any, ptr: str) -> Iterator[str]:
+    """Yield ``<pointer>: <problem>`` for every place ``value`` breaks ``shape``."""
+    at = ptr or "/"
+    if isinstance(shape, str):
+        if not _LEAVES[shape](value):
+            yield f"{at}: expected {shape}, got {value!r}"
+    elif isinstance(shape, list):
+        item, lo, hi = shape
+        if not isinstance(value, list):
+            yield f"{at}: expected an array, got {value!r}"
+            return
+        if len(value) < lo or (hi is not None and len(value) > hi):
+            want = f"at least {lo}" if hi is None else f"{lo}" if lo == hi else f"{lo} to {hi}"
+            yield f"{at}: expected {want} items, got {len(value)}"
+        for i, v in enumerate(value):
+            yield from _shape_errors(v, item, f"{ptr}/{i}")
+    elif not isinstance(value, dict):
+        yield f"{at}: expected an object, got {value!r}"
+    else:
+        fields = {key.rstrip("?"): (key.endswith("?"), sub) for key, sub in shape.items()}
+        for key, (optional, sub) in fields.items():
+            if key in value:
+                yield from _shape_errors(value[key], sub, f"{ptr}/{key}")
+            elif not optional:
+                yield f"{at}: missing required key {key!r}"
+        for key in value:
+            if key not in fields:
+                yield f"{at}: unknown key {key!r}"
 
 
 def _validate_schema(cfg: Any) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = [f"config error at {e}" for e in _shape_errors(cfg, _CONFIG_SHAPE, "")]
     if errors:
-        lines = []
-        for e in errors:
-            ptr = "/" + "/".join(str(x) for x in e.absolute_path)
-            lines.append(f"config error at {ptr}: {e.message}")
-        raise CliError("\n".join(lines))
+        raise CliError("\n".join(errors))
 
 
 # --------------------------------------------------------------------------
@@ -441,17 +353,7 @@ def _build_init(
         if "density" in obj:
             return State(_matrix(obj["density"], where + "/density"), time_tag=time)
         if "weights" in obj:
-            entries = []
-            for j, w in enumerate(obj["weights"]):
-                dev = devices.get(w["device"])
-                if dev is None:
-                    raise CliError(
-                        f"config error at {where}/weights/{j}/device: unknown "
-                        f"device {w['device']!r}"
-                    )
-                entries.append((dev, label_from_json(w["outcome"]), float(w["weight"])))
-            init = InitSpec(entries=tuple(entries), time=time)
-            return init_metric(init, system)
+            return init_metric(_init_spec(obj, devices, time, where), system)
         return State(np.eye(system.dim) / system.dim, time_tag=time)
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
@@ -493,6 +395,11 @@ def _build_init_spec(obj: dict | None, devices: dict[str, Device], where: str = 
             f"config error at {where}: this command needs an initialization "
             f"given as weighted readout events ('weights')"
         )
+    return _init_spec(obj, devices, float(obj.get("time", 0.0)), where)
+
+
+def _init_spec(obj: dict, devices: dict[str, Device], time: float, where: str) -> InitSpec:
+    """The ``weights`` form of an init section as weighted readout events."""
     entries = []
     for j, w in enumerate(obj["weights"]):
         dev = devices.get(w["device"])
@@ -503,9 +410,21 @@ def _build_init_spec(obj: dict | None, devices: dict[str, Device], where: str = 
             )
         entries.append((dev, label_from_json(w["outcome"]), float(w["weight"])))
     try:
-        return InitSpec(entries=tuple(entries), time=float(obj.get("time", 0.0)))
+        return InitSpec(entries=tuple(entries), time=time)
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
+
+
+def _couplings(items: list[dict], key_a: str, key_b: str, where: str) -> tuple[Coupling, ...]:
+    """Product couplings whose two operators sit under ``key_a`` and ``key_b``."""
+    return tuple(
+        Coupling(
+            op_a=_matrix(c[key_a], f"{where}/{i}/{key_a}"),
+            op_b=_matrix(c[key_b], f"{where}/{i}/{key_b}"),
+            strength=float(c.get("strength", 1.0)),
+        )
+        for i, c in enumerate(items)
+    )
 
 
 def _require_param(params: dict, key: str, verb: str):
@@ -562,7 +481,6 @@ class _Context:
     cfg: dict
     tolerances: dict
     force_large: bool
-    workers: int
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
@@ -606,7 +524,6 @@ def _cmd_table(ctx: _Context) -> None:
     schedule = ctx.need_plain_schedule(system, devices)
     table = biprob_table(system, schedule, force_large=ctx.force_large)
     m = table.matrix
-    herm = float(np.abs(m - m.conj().T).max())
     ctx.results.update(
         {
             "n_sequences": table.n_sequences,
@@ -616,7 +533,7 @@ def _cmd_table(ctx: _Context) -> None:
             "table_digest": table.digest,
         }
     )
-    ctx.checks.append(_check("hermitianity", herm, ctx.tol("hermitianity"), "<="))
+    ctx.checks.append(_check("hermitianity", _max_hermitianity(m), ctx.tol("hermitianity"), "<="))
     ctx.artifacts["table.csv"] = table.to_csv()
 
 
@@ -732,14 +649,7 @@ def _cmd_compose(ctx: _Context) -> None:
     comp = ctx.cfg["composite"]
     sys_a, _, sched_a = _build_factor(comp["a"], "/composite/a")
     sys_b, _, sched_b = _build_factor(comp["b"], "/composite/b")
-    couplings = tuple(
-        Coupling(
-            op_a=_matrix(c["op_a"], f"/composite/couplings/{i}/op_a"),
-            op_b=_matrix(c["op_b"], f"/composite/couplings/{i}/op_b"),
-            strength=float(c.get("strength", 1.0)),
-        )
-        for i, c in enumerate(comp.get("couplings", []))
-    )
+    couplings = _couplings(comp.get("couplings", []), "op_a", "op_b", "/composite/couplings")
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
     ctx.results["coupled"] = bool(couplings)
@@ -834,7 +744,6 @@ def _cmd_uncertainty(ctx: _Context) -> None:
             float(ctx.params.get("dt", 0.0)),
             ctx.params["n_samples"],
             ctx.params.get("seed", 0),
-            workers=ctx.workers,
         )
         ctx.results["empirical"] = {
             "matrix": [
@@ -856,13 +765,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
     if "env_init" not in ctx.cfg:
         raise CliError("config error at /env_init: required by the map-compare command")
     environment = _build_system(ctx.cfg["environment"], "/environment")
-    couplings = tuple(
-        Coupling(
-            op_a=_matrix(c["op_system"], f"/couplings/{i}/op_system"),
-            op_b=_matrix(c["op_environment"], f"/couplings/{i}/op_environment"),
-            strength=float(c.get("strength", 1.0)),
-        )
-        for i, c in enumerate(ctx.cfg.get("couplings", []))
+    couplings = _couplings(
+        ctx.cfg.get("couplings", []), "op_system", "op_environment", "/couplings"
     )
     try:
         env_state = State(_matrix(ctx.cfg["env_init"]["density"], "/env_init/density"))
@@ -928,7 +832,7 @@ def _cmd_sample(ctx: _Context) -> None:
     cs = ctx.need_coarse_schedule(system, devices)
     n_samples = _require_param(ctx.params, "n_samples", "sample")
     seed = ctx.params.get("seed", 0)
-    run = sample_sequences(system, cs, n_samples, seed, workers=ctx.workers)
+    run = sample_sequences(system, cs, n_samples, seed)
     dist = empirical_distribution(run)
     ctx.results.update(
         {
@@ -1032,10 +936,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="at least 1; sampling is one vectorised pass, so it changes neither counts nor work",
-    )
-    parser.add_argument(
         "--force-large",
         action="store_true",
         help="lift the table-size guard for table-building commands",
@@ -1062,18 +962,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"config error at /command: config says {cfg['command']!r} but the "
                 f"command line asked for {args.verb!r}"
             )
-        if args.threads < 1:
-            raise CliError("--threads must be at least 1")
 
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(cfg.get("tolerances", {}))
 
-        ctx = _Context(
-            cfg=cfg,
-            tolerances=tolerances,
-            force_large=bool(args.force_large),
-            workers=args.threads,
-        )
+        ctx = _Context(cfg=cfg, tolerances=tolerances, force_large=bool(args.force_large))
         try:
             _COMMANDS[args.verb](ctx)
         except TableSizeError as exc:

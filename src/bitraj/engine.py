@@ -522,9 +522,9 @@ def property_report(table: BiProbTable) -> PropertyReport:
     ``lambda_min(herm Q) >= lambda_min(W W^H) - ||Q - W W^H||_F``.  The first
     term comes from ``W W^H`` when N <= d^2 and otherwise is
     ``min(0, lambda_min(W^H W))`` (the nonzero spectra agree).  The residual
-    and the hermitianity witness are accumulated over row blocks of ``Q``, so
-    the only N x N temporary is ``|Q|``, which the mass and the causality
-    witness share.
+    is accumulated over row blocks of ``Q`` and the hermitianity witness comes
+    from ``_max_hermitianity``, so the only N x N temporary is ``|Q|``, which
+    the mass and the causality witness share.
     """
     m = table.matrix
     normalization_error = abs(complex(m.sum()) - 1.0)
@@ -552,19 +552,11 @@ def property_report(table: BiProbTable) -> PropertyReport:
         spectrum = min(0.0, float(np.linalg.eigvalsh(flat_h @ flat).min()))
 
     rows = max(1, _BLOCK_BYTES // m[0].nbytes)
-    herm_errors = []
     residual_sq = 0.0
     for start in range(0, total, rows):
-        stop = start + rows
-        block = m[start:stop]
-        # |Q[a, b] - conj Q[b, a]| is symmetric in (a, b), so the columns from
-        # ``start`` on cover every pair once
-        mirror = m[start:, start:stop].conj().T
-        herm_errors.append(np.abs(block[:, start:] - mirror).max())
-        resid = flat[start:stop] @ flat_h
-        resid -= block
+        resid = flat[start:start + rows] @ flat_h
+        resid -= m[start:start + rows]
         residual_sq += float(np.vdot(resid, resid).real)
-    max_hermitianity = float(np.max(herm_errors))
     min_gram = spectrum - math.sqrt(residual_sq)
 
     diag = m.diagonal()
@@ -574,11 +566,28 @@ def property_report(table: BiProbTable) -> PropertyReport:
         normalization_error=float(normalization_error),
         max_biconsistency_error=max_biconsistency,
         max_causality_violation=max_causality,
-        max_hermitianity_error=max_hermitianity,
+        max_hermitianity_error=_max_hermitianity(m),
         min_gram_eigenvalue=min_gram,
         max_diagonal_negativity=max_diag_neg,
         l1_norm=l1,
     )
+
+
+def _max_hermitianity(m: np.ndarray) -> float:
+    """``np.abs(m - m.conj().T).max()`` without an N x N temporary.
+
+    ``|Q[a, b] - conj Q[b, a]|`` is symmetric in (a, b) exactly, so each row
+    block only needs the columns from its first row on; a block holds at most
+    ``_BLOCK_BYTES`` and an eighth of the rows.
+    """
+    total = m.shape[0]
+    rows = max(1, min(_BLOCK_BYTES // m[0].nbytes, total // 8))
+    worst = []
+    for start in range(0, total, rows):
+        diff = np.conj(m[start:, start:start + rows].T)
+        np.subtract(m[start:start + rows, start:], diff, out=diff)
+        worst.append(np.abs(diff).max())
+    return float(np.max(worst))
 
 
 def _max_biconsistency(table: BiProbTable) -> float:

@@ -302,7 +302,6 @@ def estimate_uncertainty(
     dt: float,
     n_samples: int,
     seed: int,
-    workers: int = 1,
 ) -> UncertaintyEstimate:
     """Estimate the conditional matrix C[k, l] from back-to-back sampled readouts.
 
@@ -323,8 +322,8 @@ def estimate_uncertainty(
         entries=((float(t), dev_k, None), (float(t) + float(dt), dev_l, None)),
         init=mixed,
     )
-    run_fwd = sample_sequences(system, fwd, n_samples, seed, workers=workers)
-    run_swp = sample_sequences(system, swp, n_samples, seed + 1, workers=workers)
+    run_fwd = sample_sequences(system, fwd, n_samples, seed)
+    run_swp = sample_sequences(system, swp, n_samples, seed + 1)
 
     cond, totals = _conditional_counts(run_fwd, dev_l, dev_k)
     cond_swp, totals_swp = _conditional_counts(run_swp, dev_k, dev_l)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,7 +257,7 @@ def test_map_compare_verb(tmp_path):
 def test_sample_verb(tmp_path):
     cfg = dict(ZX_BASE, command="sample")
     cfg["params"] = {"n_samples": 2000, "seed": 8}
-    code, report, out = run(tmp_path, "sample", cfg, "--threads", "2")
+    code, report, out = run(tmp_path, "sample", cfg)
     assert code == 0
     assert report["results"]["n_samples"] == 2000
     assert report["results"]["fraction_within_4sigma"] == 1.0
@@ -346,13 +349,21 @@ def test_command_mismatch(tmp_path, capsys):
     assert "/command" in capsys.readouterr().err
 
 
-def test_bad_threads(tmp_path):
+def test_threads_flag_is_gone(tmp_path):
     cfg = dict(ZX_BASE, command="sample")
     cfg["params"] = {"n_samples": 10}
-    code = main(
-        ["sample", "--config", write_config(tmp_path, cfg), "--threads", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--config", write_config(tmp_path, cfg), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, bitraj.cli; print('jsonschema' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert code == 2
+    assert out.stdout.strip() == "False"
 
 
 def test_device_needs_exactly_one_form(tmp_path, capsys):

@@ -495,6 +495,33 @@ def test_property_report_keeps_one_marginal_alive(dim, n):
     assert extra < 0.6 * table.matrix.nbytes
 
 
+def test_hermitianity_witness_memory_stays_below_half_a_table():
+    table = biprob_table(*random_config(309, dim=2, n=9))
+    assert table.n_sequences == 512
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine._max_hermitianity(table.matrix)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert extra < 0.5 * table.matrix.nbytes
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_hermitianity_witness_equals_the_dense_formula(monkeypatch, block_rows):
+    # |x - conj y| and |y - conj x| are exact mirrors, so the blocked maximum
+    # is the dense one bit for bit, at any block size
+    rng = np.random.default_rng(310)
+    table = biprob_table(*random_config(310, dim=3, n=4))
+    noise = rng.normal(size=(81, 81)) + 1j * rng.normal(size=(81, 81))
+    odd = rng.normal(size=(37, 37)) + 1j * rng.normal(size=(37, 37))
+    for m in (table.matrix, table.matrix + 1e-9 * noise, odd):
+        if block_rows is not None:
+            monkeypatch.setattr(engine, "_BLOCK_BYTES", block_rows * m[0].nbytes)
+        assert engine._max_hermitianity(m) == np.abs(m - m.conj().T).max()
+
+
 # ---------------------------------------------------------------------------
 # the order of the pair marginal's sums
 
