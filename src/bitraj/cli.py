@@ -149,11 +149,10 @@ _RESOLUTION = {"blocks": [_LABELS, 1, None], "labels?": [_LABEL, 0, None]}
 _SCHEDULE = {
     "entries": [{"time": "a number", "device": "a string", "resolution?": _RESOLUTION}, 1, None]
 }
-_WEIGHT = {"device": "a string", "outcome": _LABEL, "weight": "a number"}
 _INIT = {
     "density?": _MATRIX,
     "maximally_mixed?": "a boolean",
-    "weights?": [_WEIGHT, 1, None],
+    "weights?": [{"device": "a string", "outcome": _LABEL, "weight": "a number"}, 1, None],
     "time?": "a number",
 }
 _FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
@@ -353,7 +352,7 @@ def _build_init(
         if "density" in obj:
             return State(_matrix(obj["density"], where + "/density"), time_tag=time)
         if "weights" in obj:
-            return init_metric(_init_spec(obj, devices, time, where), system)
+            return init_metric(_build_init_spec(obj, devices, where, default_time), system)
         return State(np.eye(system.dim) / system.dim, time_tag=time)
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
@@ -389,17 +388,18 @@ def _as_plain_schedule(cs: CoarseSchedule, where: str = "/schedule") -> Schedule
         raise CliError(f"config error at {where}: {exc}") from None
 
 
-def _build_init_spec(obj: dict | None, devices: dict[str, Device], where: str = "/init") -> InitSpec:
+def _build_init_spec(
+    obj: dict | None,
+    devices: dict[str, Device],
+    where: str = "/init",
+    default_time: float = 0.0,
+) -> InitSpec:
+    """The ``weights`` form of an init section as weighted readout events."""
     if obj is None or "weights" not in obj:
         raise CliError(
             f"config error at {where}: this command needs an initialization "
             f"given as weighted readout events ('weights')"
         )
-    return _init_spec(obj, devices, float(obj.get("time", 0.0)), where)
-
-
-def _init_spec(obj: dict, devices: dict[str, Device], time: float, where: str) -> InitSpec:
-    """The ``weights`` form of an init section as weighted readout events."""
     entries = []
     for j, w in enumerate(obj["weights"]):
         dev = devices.get(w["device"])
@@ -410,7 +410,7 @@ def _init_spec(obj: dict, devices: dict[str, Device], time: float, where: str) -
             )
         entries.append((dev, label_from_json(w["outcome"]), float(w["weight"])))
     try:
-        return InitSpec(entries=tuple(entries), time=time)
+        return InitSpec(entries=tuple(entries), time=float(obj.get("time", default_time)))
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
 
