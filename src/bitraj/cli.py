@@ -31,7 +31,7 @@ from .coarse import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
-from .composite import Coupling, co_interference, factorization_delta
+from .composite import Coupling, _check_tandem, co_interference, factorization_delta
 from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian, validate_device
 from .engine import (
     BiSequence,
@@ -229,10 +229,22 @@ def _shape_errors(value: Any, shape: Any, ptr: str) -> Iterator[str]:
                 yield f"{at}: unknown key {key!r}"
 
 
-def _validate_schema(cfg: Any) -> None:
+def _with_ints(value: Any, shape: Any) -> Any:
+    """A copy of valid ``value`` with every integer leaf made an ``int`` (``2.0`` -> ``2``)."""
+    if isinstance(shape, str):
+        return int(value) if shape.startswith("an integer") else value
+    if isinstance(shape, list):
+        return [_with_ints(v, shape[0]) for v in value]
+    fields = {key.rstrip("?"): sub for key, sub in shape.items()}
+    return {key: _with_ints(v, fields[key]) for key, v in value.items()}
+
+
+def _validate_schema(cfg: Any) -> dict:
+    """Reject ``cfg`` unless it fits ``_CONFIG_SHAPE``; returns it with integer leaves as ints."""
     errors = [f"config error at {e}" for e in _shape_errors(cfg, _CONFIG_SHAPE, "")]
     if errors:
         raise CliError("\n".join(errors))
+    return _with_ints(cfg, _CONFIG_SHAPE)
 
 
 # --------------------------------------------------------------------------
@@ -649,6 +661,10 @@ def _cmd_compose(ctx: _Context) -> None:
     comp = ctx.cfg["composite"]
     sys_a, _, sched_a = _build_factor(comp["a"], "/composite/a")
     sys_b, _, sched_b = _build_factor(comp["b"], "/composite/b")
+    try:
+        _check_tandem(sched_a, sched_b)
+    except ValueError as exc:
+        raise CliError(f"config error at /composite/b/schedule/entries: {exc}") from None
     couplings = _couplings(comp.get("couplings", []), "op_a", "op_b", "/composite/couplings")
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
@@ -956,7 +972,7 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             raise CliError(f"config is not valid JSON: {exc}") from None
 
-        _validate_schema(cfg)
+        written, cfg = cfg, _validate_schema(cfg)
         if cfg["command"] != args.verb:
             raise CliError(
                 f"config error at /command: config says {cfg['command']!r} but the "
@@ -996,7 +1012,7 @@ def main(argv: list[str] | None = None) -> int:
         report = {
             "schema_version": REPORT_SCHEMA_VERSION,
             "command": args.verb,
-            "config_digest": canonical_digest(cfg),
+            "config_digest": canonical_digest(written),
             "tolerances": tolerances,
             "results": _json_ready(ctx.results),
             "checks": _json_ready(ctx.checks),

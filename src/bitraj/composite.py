@@ -85,6 +85,15 @@ def product_state(state_a: State, state_b: State) -> State:
     return State(np.kron(state_a.density, state_b.density), time_tag=state_a.time_tag)
 
 
+def _check_tandem(sched_a: Schedule, sched_b: Schedule) -> None:
+    """Raise ``ValueError`` unless both factors are read out at the same times."""
+    if len(sched_a) != len(sched_b):
+        raise ValueError("tandem schedules must have the same number of entries")
+    for ta, tb in zip(sched_a.times, sched_b.times):
+        if abs(ta - tb) > 1e-12:
+            raise ValueError(f"tandem schedules must share times; got {ta} vs {tb}")
+
+
 def _tandem_schedule(
     spec_a: SystemSpec,
     spec_b: SystemSpec,
@@ -92,11 +101,7 @@ def _tandem_schedule(
     sched_b: Schedule,
     couplings: Sequence[Coupling] = (),
 ) -> tuple[SystemSpec, Schedule]:
-    if len(sched_a) != len(sched_b):
-        raise ValueError("tandem schedules must have the same number of entries")
-    for ta, tb in zip(sched_a.times, sched_b.times):
-        if abs(ta - tb) > 1e-12:
-            raise ValueError(f"tandem schedules must share times; got {ta} vs {tb}")
+    _check_tandem(sched_a, sched_b)
     joint_system = compose(CompositeSpec(spec_a, spec_b, tuple(couplings)))
     init = product_state(sched_a.init, sched_b.init)
     entries = tuple(

@@ -10,6 +10,14 @@ from back-to-back readouts.
 Randomness is counter-based: every trial owns a fixed range of Philox counter
 blocks keyed by the run seed, so the counts depend only on the seed and the
 number of trials, not on how the trials are grouped or chunked.
+
+Trials are routed through a table of the outcome prefixes they reach.  Each
+prefix is a node built once per run, with one Born vector and, below the last
+readout, one collapsed density; a chunk of trials moves through the table
+level by level as an array of node ids, and only prefixes never reached
+before are built.  The table is emptied at the start of a chunk once it holds
+more than ``_CHUNK`` nodes, so it never holds more than ``len(stacks) *
+_CHUNK`` nodes whatever the number of trials.
 """
 
 from __future__ import annotations
@@ -108,50 +116,121 @@ def empirical_distribution(run: SampleRun) -> EmpiricalDist:
     return EmpiricalDist(probabilities=probs, std_errors=errs, n_samples=n)
 
 
-#: Trials drawn and collapsed together; bounds the draw buffer, not the counts.
+#: Trials drawn and routed together; bounds the draw buffer and the node table.
 _CHUNK = 2**12
+
+
+def _born(projs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Clipped Born weights of ``rho``, their total, surviving outcomes and cumsum."""
+    probs = np.einsum("oij,ji->o", projs, rho).real
+    np.clip(probs, 0.0, None, out=probs)
+    total = probs.sum()
+    if total <= 1e-300:
+        raise RuntimeError(
+            "all readout branches vanished mid-chain; the projector chain is inconsistent"
+        )
+    alive = np.nonzero(probs > 1e-300)[0]
+    return probs, total, alive, np.cumsum(probs[alive])
+
+
+def _collapse(proj: np.ndarray, rho: np.ndarray, p: float) -> np.ndarray:
+    """State after outcome ``proj`` of probability ``p``: ``(P rho P) / p``."""
+    return (proj @ rho @ proj) / p
+
+
+class _Nodes:
+    """The reached outcome prefixes of one length: one node per prefix.
+
+    A node holds its Born data for the next readout: the total weight, the
+    cumulative weights of the surviving outcomes (one row per column, padded
+    with +inf), the surviving outcomes themselves (padded by repeating the
+    last one) and the clipped weights, plus its child ids (-1: not built
+    yet).  Per-(node, outcome) rows are flat, at ``node * m + k``.  Densities
+    are kept only where a child may still be collapsed from them.
+    """
+
+    def __init__(self, projs: np.ndarray, last: bool):
+        self.projs = projs
+        self.m = len(projs)
+        self.prefix: list[tuple[int, ...]] = []
+        self.rho: list[np.ndarray] | None = None if last else []
+        self.total = np.empty(0)
+        self.cum = np.empty((self.m, 0))
+        self.alive = np.empty(0, dtype=np.intp)
+        self.probs = np.empty(0)
+        self.child = np.empty(0, dtype=np.intp)
+
+    def add(self, prefixes: list[tuple[int, ...]], rhos: list[np.ndarray]) -> np.ndarray:
+        """Append one node per (prefix, density); returns their ids."""
+        k, m = len(rhos), self.m
+        total, cum = np.empty(k), np.full((m, k), np.inf)
+        alive, probs = np.empty((k, m), dtype=np.intp), np.empty((k, m))
+        for r, rho in enumerate(rhos):
+            probs[r], total[r], a, cum[: len(a), r] = _born(self.projs, rho)
+            alive[r] = a[np.minimum(np.arange(m), len(a) - 1)]
+        first = len(self.prefix)
+        self.prefix += prefixes
+        if self.rho is not None:
+            self.rho += rhos
+        self.total = np.concatenate((self.total, total))
+        self.cum = np.concatenate((self.cum, cum), axis=1)
+        self.alive = np.concatenate((self.alive, alive.ravel()))
+        self.probs = np.concatenate((self.probs, probs.ravel()))
+        self.child = np.concatenate((self.child, np.full(k * m, -1, dtype=np.intp)))
+        return np.arange(first, first + k)
 
 
 def _run_trials(
     init_density: np.ndarray, stacks: Sequence[np.ndarray], seed: int, n_samples: int
 ) -> dict[tuple[int, ...], int]:
-    """Outcome-index tallies of ``n_samples`` trials, grouped by shared prefix.
+    """Outcome-index tallies of ``n_samples`` trials, routed through a prefix table.
 
     Trial k reads its draws from Philox counter blocks ``[k*b, (k+1)*b)``, so
-    one generator per chunk reproduces every trial's own stream.  Trials with
-    the same outcome prefix share one Born vector and one collapse.
+    one generator per chunk reproduces every trial's own stream.  Every
+    reached prefix is a node built once per run, with one Born vector and
+    (below the last readout) one collapse; trials move level by level as an
+    array of node ids.  A trial's slot is ``searchsorted(cum, x, "right")``
+    clamped to ``m - 1``, counted as the first ``m - 1`` cumulative weights
+    ``<= x``.  The table is emptied at the start of a chunk once it holds
+    more than ``_CHUNK`` nodes, so it never exceeds ``len(stacks) * _CHUNK``.
     """
     blocks_per_trial = max(1, math.ceil(len(stacks) / 4))
+    last = len(stacks) - 1
     counts: dict[tuple[int, ...], int] = {}
+    table: list[_Nodes] = []
     for start in range(0, n_samples, _CHUNK):
+        if not table or sum(len(lv.prefix) for lv in table) > _CHUNK:
+            table = [_Nodes(projs, j == last) for j, projs in enumerate(stacks)]
+            table[0].add([()], [init_density])
         n = min(_CHUNK, n_samples - start)
         counter = np.array([start * blocks_per_trial, 0, 0, 0], dtype=np.uint64)
         rng = Generator(Philox(key=np.uint64(seed), counter=counter))
         draws = rng.random(n * 4 * blocks_per_trial).reshape(n, 4 * blocks_per_trial)
-        groups = [((), init_density, np.arange(n))]
-        for j, projs in enumerate(stacks):
-            children = []
-            for prefix, rho, trials in groups:
-                probs = np.einsum("oij,ji->o", projs, rho).real
-                np.clip(probs, 0.0, None, out=probs)
-                total = probs.sum()
-                if total <= 1e-300:
-                    raise RuntimeError(
-                        "all readout branches vanished mid-chain; the projector "
-                        "chain is inconsistent"
-                    )
-                alive = np.nonzero(probs > 1e-300)[0]
-                cum = np.cumsum(probs[alive])
-                idx = np.searchsorted(cum, draws[trials, j] * total, side="right")
-                picked = alive[np.minimum(idx, len(alive) - 1)]
-                for o in np.unique(picked):
-                    proj = projs[o]
-                    children.append(
-                        (prefix + (int(o),), (proj @ rho @ proj) / probs[o], trials[picked == o])
-                    )
-            groups = children
-        for prefix, _, trials in groups:
-            counts[prefix] = counts.get(prefix, 0) + len(trials)
+        node = np.zeros(n, dtype=np.intp)
+        for j, lv in enumerate(table):
+            x = draws[:, j] * lv.total[node]
+            base = node * lv.m
+            slot = base.copy()
+            for col in lv.cum[:-1]:
+                slot += col[node] <= x
+            key = base + lv.alive[slot]
+            if j == last:
+                break
+            node = lv.child[key]
+            missing = node < 0
+            if missing.any():
+                pairs = np.unique(key[missing])
+                prefixes, rhos = [], []
+                for p in pairs.tolist():
+                    i, o = divmod(p, lv.m)
+                    prefixes.append(lv.prefix[i] + (o,))
+                    rhos.append(_collapse(lv.projs[o], lv.rho[i], lv.probs[p]))
+                lv.child[pairs] = table[j + 1].add(prefixes, rhos)
+                node = lv.child[key]
+        keys, tally = np.unique(key, return_counts=True)
+        for k, c in zip(keys.tolist(), tally.tolist()):
+            seq = lv.prefix[k // lv.m] + (k % lv.m,)
+            counts[seq] = counts.get(seq, 0) + c
     return counts
 
 

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from bitraj.cli import main
+from bitraj.cli import _CONFIG_SHAPE, main
+from bitraj.serialize import canonical_digest
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -736,3 +737,77 @@ def test_config_rejection_is_pinned(tmp_path, capsys, base, path, value):
     parent = "/" + "/".join(str(step) for step in path[:at])
     assert f"config error at {parent}" in err
     assert path[at] in err
+
+
+# ---------------------------------------------------------------------------
+# compose factors must be read out in tandem: a mismatch is a config error
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([{"time": 1.0, "device": "Z"}], "same number of entries"),
+        ([{"time": 1.0, "device": "Z"}, {"time": 3.0, "device": "Z"}], "must share times"),
+    ],
+    ids=["length", "times"],
+)
+def test_compose_rejects_factors_out_of_tandem(tmp_path, capsys, entries, message):
+    cfg = _mutated(PINNED_BASES["compose"], ("composite", "b", "schedule", "entries"), entries)
+    code = main(["compose", "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error at /composite/b/schedule/entries: " in err
+    assert message in err
+
+
+# ---------------------------------------------------------------------------
+# an integral float is accepted wherever an integer is, and means that integer
+
+INTEGER_LEAVES = {
+    ("system", "dim"): "zx",
+    ("environment", "dim"): "map",
+    ("composite", "a", "system", "dim"): "compose",
+    ("composite", "b", "system", "dim"): "compose",
+    ("params", "n_list", 0): "zeno",
+    ("params", "slices", 0): "map",
+    ("params", "n_samples"): "uncertainty",
+    ("params", "seed"): "uncertainty",
+    ("params", "position"): "coarse",
+}
+
+
+def _integer_leaves(shape, path=()):
+    if isinstance(shape, str):
+        if shape.startswith("an integer"):
+            yield path
+    elif isinstance(shape, list):
+        yield from _integer_leaves(shape[0], path + (0,))
+    else:
+        for key, sub in shape.items():
+            yield from _integer_leaves(sub, path + (key.rstrip("?"),))
+
+
+def test_every_integer_leaf_has_a_base():
+    assert set(_integer_leaves(_CONFIG_SHAPE)) == set(INTEGER_LEAVES)
+
+
+@pytest.mark.parametrize(
+    "path", list(INTEGER_LEAVES), ids=["/" + "/".join(map(str, p)) for p in INTEGER_LEAVES]
+)
+def test_integral_float_means_the_integer(tmp_path, path):
+    base = PINNED_BASES[INTEGER_LEAVES[path]]
+    value = base
+    for step in path:
+        value = value[step]
+    assert isinstance(value, int)
+    as_float = _mutated(base, path, float(value))
+    reports = []
+    for name, cfg in (("int", base), ("float", as_float)):
+        (tmp_path / name).mkdir()
+        code, report, _ = run(tmp_path / name, base["command"], cfg)
+        assert code == 0, name
+        reports.append(report)
+    assert reports[1]["results"] == reports[0]["results"]
+    assert reports[1]["checks"] == reports[0]["checks"]
+    assert reports[1]["config_digest"] == canonical_digest(as_float)
+    assert reports[1]["config_digest"] != reports[0]["config_digest"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitraj import (
     CoarseSchedule,
@@ -16,6 +18,7 @@ from bitraj import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
+from bitraj.coarse import PAIRWISE_BLOCK_CAP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 UP = np.diag([1.0, 0.0]).astype(complex)
@@ -138,6 +141,44 @@ def test_pairwise_recurrence(dim, blocks):
     for outcome in labels:
         dec = pairwise_decompose(system, cs, (outcome, "b0"))
         assert dec.recurrence_value == pytest.approx(dec.direct_value, abs=1e-9)
+
+
+@st.composite
+def pairwise_cases(draw):
+    """One or two coarse readouts, each with one block of 1 to min(d, cap) outcomes.
+
+    Dimension 2-5, states of every rank, ||H||_2 from 1e-2 to 1e5.
+    """
+    dim = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, min(dim, PAIRWISE_BLOCK_CAP)), min_size=1, max_size=2))
+    rank = draw(st.integers(1, dim))
+    log_norm = draw(st.floats(-2.0, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(dim, dim)
+    h = 0.5 * (h + h.conj().T)
+    system = SystemSpec(dim=dim, hamiltonian=h * 10.0**log_norm / np.linalg.norm(h, 2))
+    a = gaussian(dim, rank)
+    init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    entries = []
+    for k, (t, size) in enumerate(zip(np.cumsum(rng.uniform(0.1, 1.0, len(sizes))), sizes)):
+        dev = fine_basis_device(dim, int(rng.integers(2**32)), name=f"D{k}")
+        order = [int(i) for i in rng.permutation(dim)]
+        blocks = (tuple(order[:size]),) + tuple((i,) for i in order[size:])
+        labels = ("blk",) + tuple(f"o{i}" for i in order[size:])
+        entries.append((float(t), dev, Resolution(dev, blocks, labels)))
+    return system, CoarseSchedule(entries=tuple(entries), init=init)
+
+
+@settings(max_examples=60)
+@given(pairwise_cases())
+def test_pairwise_gate_holds_at_any_scale(case):
+    system, cs = case
+    dec = pairwise_decompose(system, cs, ("blk",) * len(cs.entries))
+    assert abs(dec.recurrence_value - dec.direct_value) <= 1e-9
 
 
 def test_pairwise_block_cap():

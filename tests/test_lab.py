@@ -385,3 +385,80 @@ def test_five_entry_chunks_match_reference(monkeypatch, chunk):
     expected = oracle_counts(QUTRIT, sched, 60, 2**31 - 1)
     monkeypatch.setattr(lab, "_CHUNK", chunk)
     assert sample_sequences(QUTRIT, sched, 60, seed=2**31 - 1).counts == expected
+
+
+# ---------------------------------------------------------------------------
+# the prefix-node table: one Born vector and one collapse per reached prefix
+
+FIVE_QUTRIT = Schedule(
+    entries=((0.3, DEVF3), (0.6, DEVZ3), (0.8, DEVF3), (1.0, DEVZ3), (1.4, DEVF3)),
+    init=RHO3,
+)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(lab, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lab, name, wrapper)
+    return calls
+
+
+def test_each_reached_prefix_is_built_once_per_run(monkeypatch):
+    n = 2 * lab._CHUNK + 1808  # three chunks
+    borns = _counting(monkeypatch, "_born")
+    collapses = _counting(monkeypatch, "_collapse")
+    run = sample_sequences(QUTRIT, FIVE_QUTRIT, n, seed=23)
+    prefixes = {seq[:k] for seq in run.counts for k in range(len(seq))}
+    assert len(borns) == len(prefixes)
+    assert len(collapses) == len(prefixes) - 1  # every prefix but the empty one
+    assert sum(run.counts.values()) == n
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16])
+def test_node_table_stays_bounded(monkeypatch, chunk):
+    # every node gets exactly one Born vector, and a fresh table starts with
+    # the Born vector of the initial state
+    monkeypatch.setattr(lab, "_CHUNK", chunk)
+    real = lab._born
+    size, peak, resets = [0], [0], [0]
+
+    def born(projs, rho):
+        if rho is RHO3.density:
+            size[0] = 0
+            resets[0] += 1
+        size[0] += 1
+        peak[0] = max(peak[0], size[0])
+        return real(projs, rho)
+
+    monkeypatch.setattr(lab, "_born", born)
+    run = sample_sequences(QUTRIT, FIVE_QUTRIT, 300, seed=29)
+    assert peak[0] <= len(FIVE_QUTRIT) * chunk
+    assert resets[0] > 1
+    assert run.counts == oracle_counts(QUTRIT, FIVE_QUTRIT, 300, 29)
+
+
+P3 = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize(
+    "init, second",
+    [
+        # both first-entry branches are annihilated by the second readout
+        (np.diag([0.5, 0.5, 0.0]), [P3[2]]),
+        # only the rare branch is, so earlier chunks run (and reset) first
+        (np.diag([0.97, 0.03, 0.0]), [P3[0], P3[2]]),
+    ],
+    ids=["every-branch", "rare-branch"],
+)
+def test_vanished_branch_raises(monkeypatch, chunk, init, second):
+    if chunk is not None:
+        monkeypatch.setattr(lab, "_CHUNK", chunk)
+    stacks = [np.stack(P3[:2]), np.stack(second)]
+    with pytest.raises(RuntimeError, match="vanished"):
+        lab._run_trials(init.astype(complex), stacks, seed=31, n_samples=400)

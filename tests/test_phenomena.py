@@ -261,6 +261,26 @@ def test_uncertainty_doubly_stochastic():
     assert np.abs(c.sum(axis=1) - 1.0).max() < 1e-12
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(2, 5),
+    st.floats(-2.0, 5.0),
+    st.floats(0.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_uncertainty_drift_gate_holds_at_any_scale(dim, log_norm, t, seed):
+    # the gate compares overlap moduli, which are bounded by 1, so its absolute
+    # bound must hold for any ||H||
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    h *= 10.0**log_norm / np.linalg.norm(h, 2)
+    system = SystemSpec(dim=dim, hamiltonian=h)
+    c = uncertainty_matrix(system, fine_device(dim, seed, "K"), fine_device(dim, seed + 1, "L"), t)
+    assert np.abs(c.sum(axis=0) - 1.0).max() < 1e-12
+    assert np.abs(c.sum(axis=1) - 1.0).max() < 1e-12
+
+
 def test_uncertainty_rejects_coarse():
     system = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
     merged = Device(name="M", outcomes=("any",), projectors=(np.eye(2, dtype=complex),))
