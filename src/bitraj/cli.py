@@ -31,7 +31,14 @@ from .coarse import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
-from .composite import Coupling, _check_tandem, co_interference, factorization_delta
+from .composite import (
+    CompositeSpec,
+    Coupling,
+    _check_tandem,
+    co_interference,
+    compose,
+    factorization_delta,
+)
 from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian, validate_device
 from .engine import (
     BiSequence,
@@ -666,6 +673,10 @@ def _cmd_compose(ctx: _Context) -> None:
     except ValueError as exc:
         raise CliError(f"config error at /composite/b/schedule/entries: {exc}") from None
     couplings = _couplings(comp.get("couplings", []), "op_a", "op_b", "/composite/couplings")
+    try:
+        compose(CompositeSpec(sys_a, sys_b, couplings))
+    except ValueError as exc:
+        raise CliError(f"config error at /composite: {exc}") from None
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
     ctx.results["coupled"] = bool(couplings)
@@ -797,15 +808,16 @@ def _cmd_map_compare(ctx: _Context) -> None:
     t = float(_require_param(ctx.params, "t", "map-compare"))
     slices = sorted(_require_param(ctx.params, "slices", "map-compare"))
 
-    exact = dynamical_map_exact(spec, t)
+    try:
+        exact = dynamical_map_exact(spec, t)
+    except ValueError as exc:  # the joint dimension is over the cap
+        raise CliError(f"config error at /environment: {exc}") from None
     rows = []
-    residuals = []
-    for n in slices:
-        bt = dynamical_map_bitraj(spec, t, n)
+    maps = [dynamical_map_bitraj(spec, t, n) for n in slices]
+    for n, bt in zip(slices, maps):
         residual = float(np.abs(bt.matrix - exact.matrix).max())
         tp_err = bt.trace_preservation_error()
         choi_min = bt.min_choi_eigenvalue()
-        residuals.append(residual)
         rows.append(
             {"slices": n, "residual": residual, "tp_error": tp_err, "choi_min": choi_min}
         )
@@ -815,20 +827,18 @@ def _cmd_map_compare(ctx: _Context) -> None:
         )
     ctx.results["slices"] = rows
     ctx.results["exact_tp_error"] = exact.trace_preservation_error()
-    if len(residuals) >= 2:
+    if len(rows) >= 2:
         ctx.checks.append(
             _check(
                 "residual_refinement",
-                residuals[-1] - residuals[0],
+                rows[-1]["residual"] - rows[0]["residual"],
                 ctx.tol("map_residual_slack"),
                 "<=",
             )
         )
     if ctx.params.get("cross_check", False):
-        n0 = slices[0]
-        enum = dynamical_map_bitraj(spec, t, n0, via_enumeration=True)
-        transfer = dynamical_map_bitraj(spec, t, n0)
-        gap = float(np.abs(enum.matrix - transfer.matrix).max())
+        enum = dynamical_map_bitraj(spec, t, slices[0], via_enumeration=True)
+        gap = float(np.abs(enum.matrix - maps[0].matrix).max())
         ctx.results["enumeration_gap"] = gap
         ctx.checks.append(
             _check("enumeration_vs_transfer", gap, ctx.tol("map_cross_check"), "<=")

@@ -280,13 +280,18 @@ class State:
         return self.density.shape[0]
 
 
+def _heisenberg(system: SystemSpec, ops: Iterable[np.ndarray], t: float) -> tuple[np.ndarray, ...]:
+    """Operators translated to time ``t``, ``U(t,0)^dag X U(t,0)``, through one propagator."""
+    u = propagator(system, t)
+    ud = u.conj().T
+    return tuple(ud @ x @ u for x in ops)
+
+
 def heisenberg_projectors(system: SystemSpec, device: Device, t: float) -> tuple[np.ndarray, ...]:
     """Projector family of ``device`` translated to time ``t``: ``U(t,0)^dag P U(t,0)``."""
     if device.dim != system.dim:
         raise ValueError(f"device dim {device.dim} does not match system dim {system.dim}")
-    u = propagator(system, t)
-    ud = u.conj().T
-    return tuple(ud @ p @ u for p in device.projectors)
+    return _heisenberg(system, device.projectors, t)
 
 
 def _fine_basis_columns(device: Device) -> np.ndarray:

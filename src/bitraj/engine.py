@@ -25,12 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import core
-from .core import Device, Label, State, SystemSpec, _env_cap, propagator
+from .core import Device, Label, State, SystemSpec, _env_cap, _heisenberg
 from .serialize import canonical_digest, label_to_json, matrix_to_json
 
 __all__ = [
@@ -160,7 +161,7 @@ class Schedule:
             ],
         }
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return canonical_digest(self.digest_payload())
 
@@ -200,14 +201,9 @@ def _chain_operator(system: SystemSpec, steps: Sequence[tuple[float, np.ndarray]
         if t_prev is not None and t < t_prev - 1e-15:
             raise ValueError("chain times must be non-decreasing")
         t_prev = t
-        pt = _heisenberg(system, proj, t)
+        (pt,) = _heisenberg(system, (proj,), t)
         op = pt @ op
     return op
-
-
-def _heisenberg(system: SystemSpec, proj: np.ndarray, t: float) -> np.ndarray:
-    u = propagator(system, t)
-    return u.conj().T @ proj @ u
 
 
 def biprob(system: SystemSpec, schedule: Schedule, bi: BiSequence) -> complex:

@@ -19,19 +19,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .composite import Coupling
+from .composite import CompositeSpec, Coupling, compose
 from .core import (
-    DEFAULT_DIM_CAP,
     Device,
-    Label,
     State,
     SystemSpec,
     _eigen_groups,
     _expm_herm,
+    _heisenberg,
     device_from_hermitian,
     propagator,
 )
-from .engine import BiProbTable, ConsistencyError, Schedule, _guard, biprob_table
+from .engine import BiProbTable, ConsistencyError, Schedule, _guard, _leaves, biprob_table
 from .serialize import matrix_to_json
 
 __all__ = [
@@ -243,44 +242,29 @@ class OpenSpec:
 
     ``couplings`` holds product interaction terms (operator on the observed
     side, observable on the environment side, optional strength); the joint
-    generator is H0 x 1 + 1 x H_env + sum of the coupling products.
+    generator, built by ``compose``, is H0 x 1 + 1 x H_env + sum of the
+    coupling products.
     """
 
     system: SystemSpec
     environment: SystemSpec
     couplings: tuple[Coupling, ...]
     env_state: State
-    obs_state: State | None = None
 
     def __post_init__(self):
-        coups = []
-        for c in self.couplings:
-            if not isinstance(c, Coupling):
-                op_o, op_e = c
-                c = Coupling(op_a=op_o, op_b=op_e)
-            if c.op_a.shape != (self.system.dim,) * 2:
-                raise ValueError("coupling operator on the observed side has wrong shape")
-            if c.op_b.shape != (self.environment.dim,) * 2:
-                raise ValueError("coupling observable on the environment side has wrong shape")
+        coups = tuple(c if isinstance(c, Coupling) else Coupling(*c) for c in self.couplings)
+        CompositeSpec(self.system, self.environment, coups)  # checks the coupling shapes
+        for c in coups:
             for op in (c.op_a, c.op_b):
                 dev = np.abs(op - op.conj().T).max()
                 if dev > 1e-10 * max(1.0, np.abs(op).max()):
                     raise ValueError(f"coupling operators must be Hermitian (off by {dev})")
-            coups.append(c)
-        object.__setattr__(self, "couplings", tuple(coups))
+        object.__setattr__(self, "couplings", coups)
         if self.env_state.dim != self.environment.dim:
             raise ValueError("environment state dimension mismatch")
-        if self.obs_state is not None and self.obs_state.dim != self.system.dim:
-            raise ValueError("observed-state dimension mismatch")
 
     def joint_hamiltonian(self) -> np.ndarray:
-        d_o, d_e = self.system.dim, self.environment.dim
-        h = np.kron(self.system.hamiltonian, np.eye(d_e)) + np.kron(
-            np.eye(d_o), self.environment.hamiltonian
-        )
-        for c in self.couplings:
-            h = h + c.strength * np.kron(c.op_a, c.op_b)
-        return h
+        return compose(CompositeSpec(self.system, self.environment, self.couplings)).hamiltonian
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,13 +326,11 @@ class Superoperator:
 def dynamical_map_exact(spec: OpenSpec, t: float) -> Superoperator:
     """Reduced evolution by conjugating with the joint propagator and tracing.
 
-    Built column by column over the matrix units of the observed system.
+    Built column by column over the matrix units of the observed system.  The
+    joint system obeys the dimension cap like any other (``BITRAJ_MAX_DIM``,
+    or ``allow_large`` on a factor).
     """
     d_o, d_e = spec.system.dim, spec.environment.dim
-    if d_o * d_e > DEFAULT_DIM_CAP:
-        raise ValueError(
-            f"joint dimension {d_o * d_e} exceeds the exact-exponential cap {DEFAULT_DIM_CAP}"
-        )
     u = _expm_herm(*np.linalg.eigh(spec.joint_hamiltonian()), float(t))
     rho_e = spec.env_state.density
     m = np.zeros((d_o * d_o, d_o * d_o), dtype=complex)
@@ -430,12 +412,12 @@ def dynamical_map_bitraj(
     coupling observable is frozen at one of its eigenvalues, the observed
     system is driven by the matching piecewise-constant generator, and each
     eigenvalue bi-sequence is weighted by the environment's bi-probability
-    for readouts at the slice midpoints (initial weights entering through the
-    environment state's eigenbasis).  The weighted double sum factorizes
+    for readouts at the slice midpoints.  The weighted double sum factorizes
     through a per-slice transfer operator, which is how it is evaluated by
     default — numerically identical to the explicit enumeration, without the
     exponential sweep.  ``via_enumeration=True`` forces the literal sweep
-    (guarded by the table-size limit).
+    (guarded by the table-size limit): the environment's table ``W W^H`` from
+    the engine's leaves, contracted with every pair of slice-unitary products.
 
     Converges to the exact map as slices grow, with error O(1/slices);
     commuting pieces (pure dephasing) are exact already at one slice.
@@ -456,54 +438,22 @@ def dynamical_map_bitraj(
             gen = gen + v * ha
         slice_u.append(_expm_herm(*np.linalg.eigh(gen), dt))
 
+    if via_enumeration:
+        _guard(len(blocks) ** (2 * n))
+        steps = [(j, [proj for _, proj in blocks]) for j in range(n)]
+        # step j is read out at its slice midpoint; steps go by j so that t < 0 stays ordered
+        mid = lambda j: propagator(spec.environment, (j + 0.5) * dt)  # noqa: E731
+        leaves = _leaves(spec.environment, spec.env_state, steps, mid)
+        leaves = leaves.reshape(len(leaves), -1)
+        q_env = leaves @ leaves.conj().T
+        drives = np.eye(d_o, dtype=complex).reshape(1, d_o, d_o)
+        for _ in range(n):  # codes in the leaves' mixed-radix order, first slice most significant
+            drives = np.stack([su @ drives for su in slice_u], axis=1).reshape(-1, d_o, d_o)
+        m = np.einsum("pm,mij,pkl->ikjl", q_env, drives.conj(), drives, optimize=True)
+        return Superoperator(dim=d_o, matrix=m.reshape(d_o * d_o, d_o * d_o))
+
     p_env, v_env = np.linalg.eigh(spec.env_state.density)
     p_env = np.clip(p_env, 0.0, None)
-
-    if via_enumeration:
-        n_blocks = len(blocks)
-        _guard(n_blocks ** (2 * n))
-        mids = [(j + 0.5) * dt for j in range(n)]
-        heis = [
-            [
-                propagator(spec.environment, m).conj().T @ proj @ propagator(spec.environment, m)
-                for _, proj in blocks
-            ]
-            for m in mids
-        ]
-        chains: dict[tuple[int, ...], np.ndarray] = {}
-        drives: dict[tuple[int, ...], np.ndarray] = {}
-        for seq in itertools.product(range(n_blocks), repeat=n):
-            op = np.eye(d_e, dtype=complex)
-            drv = np.eye(d_o, dtype=complex)
-            for j, b in enumerate(seq):
-                op = heis[j][b] @ op
-                drv = slice_u[b] @ drv
-            chains[seq] = op
-            drives[seq] = drv
-        init_projs = [
-            np.outer(v_env[:, e], v_env[:, e].conj()) for e in range(d_e)
-        ]
-        contributions: list[np.ndarray] = []
-        for seq_p in itertools.product(range(n_blocks), repeat=n):
-            w_p = chains[seq_p]
-            for seq_m in itertools.product(range(n_blocks), repeat=n):
-                w_m = chains[seq_m]
-                weight = 0.0 + 0.0j
-                for ep in range(d_e):
-                    if p_env[ep] == 0.0:
-                        continue
-                    for em in range(d_e):
-                        if p_env[em] == 0.0:
-                            continue
-                        amp = math.sqrt(p_env[ep] * p_env[em])
-                        weight += amp * np.trace(
-                            w_p @ init_projs[ep] @ init_projs[em] @ w_m.conj().T
-                        )
-                contributions.append(
-                    weight * np.kron(drives[seq_m].conj(), drives[seq_p])
-                )
-        return Superoperator(dim=d_o, matrix=_pairwise_sum(contributions))
-
     env_eig = np.linalg.eigh(spec.environment.hamiltonian)
     u_env = _expm_herm(*env_eig, dt)
     u_env_half = _expm_herm(*env_eig, dt / 2.0)
@@ -569,10 +519,8 @@ def two_time_commutator(
 
     f1 = np.asarray(obs_f1, dtype=complex)
     f2 = np.asarray(obs_f2, dtype=complex)
-    u1 = propagator(system, t1)
-    u2 = propagator(system, t2)
-    f1t = u1.conj().T @ f1 @ u1
-    f2t = u2.conj().T @ f2 @ u2
+    (f1t,) = _heisenberg(system, (f1,), t1)
+    (f2t,) = _heisenberg(system, (f2,), t2)
     op = f2t @ f1t + sign * f1t @ f2t
     direct = complex(np.trace(op @ state.density))
 

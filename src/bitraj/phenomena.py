@@ -23,6 +23,7 @@ from .core import (
     State,
     SystemSpec,
     _fine_basis_columns,
+    _heisenberg,
     heisenberg_projectors,
     propagator,
 )
@@ -239,8 +240,7 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     proj = device.projector_for(outcome)
     if abs(float(np.trace(proj).real) - 1.0) > 1e-9:
         raise ValueError("decay rate is defined for rank-one readouts only")
-    u = propagator(system, t)
-    pt = u.conj().T @ proj @ u
+    (pt,) = _heisenberg(system, (proj,), t)
     w, v = np.linalg.eigh(pt)
     psi = v[:, -1]
     ham = system.hamiltonian

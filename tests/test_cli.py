@@ -411,6 +411,54 @@ def test_markov_guard_exits_two(tmp_path, capsys, monkeypatch):
     assert guard["limit"] == 16
 
 
+def _wide_factor(dim):
+    return {
+        "system": {"dim": dim, "hamiltonian": mat(np.diag(0.1 * np.arange(dim)))},
+        "devices": [{"name": "N", "observable": mat(np.diag(np.arange(dim)))}],
+        "schedule": {"entries": [{"time": 1.0, "device": "N"}]},
+    }
+
+
+# factor dims 8 x 9: a joint dimension of 72, over the default cap of 64
+WIDE_JOINT = {
+    "compose": (
+        {
+            "schema_version": 1,
+            "command": "compose",
+            "system": {"dim": 2, "hamiltonian": ZERO2},
+            "composite": {"a": _wide_factor(8), "b": _wide_factor(9)},
+        },
+        "/composite",
+    ),
+    "map-compare": (
+        {
+            "schema_version": 1,
+            "command": "map-compare",
+            "system": _wide_factor(8)["system"],
+            "environment": _wide_factor(9)["system"],
+            "env_init": {"density": mat(np.eye(9) / 9)},
+            "params": {"t": 0.5, "slices": [1]},
+        },
+        "/environment",
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(WIDE_JOINT))
+def test_joint_dimension_guard_exits_two(tmp_path, capsys, monkeypatch, verb):
+    cfg, pointer = WIDE_JOINT[verb]
+    monkeypatch.delenv("BITRAJ_MAX_DIM", raising=False)
+    code, report, _ = run(tmp_path, verb, cfg)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {pointer}: dimension 72 exceeds the cap 64")
+    monkeypatch.setenv("BITRAJ_MAX_DIM", "100")
+    code, report, _ = run(tmp_path, verb, cfg)
+    assert code == 0
+    assert report["ok"] is True
+
+
 @pytest.mark.parametrize("var", ["BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"])
 def test_malformed_env_cap_exits_two(tmp_path, capsys, monkeypatch, var):
     monkeypatch.setenv(var, "lots")

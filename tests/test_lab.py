@@ -18,7 +18,7 @@ from bitraj import (
     reconstruct_interference,
     sample_sequences,
 )
-from bitraj import lab
+from bitraj import engine, lab
 from bitraj.core import heisenberg_projectors
 from bitraj.lab import pair_resolution
 
@@ -290,6 +290,25 @@ def test_fine_coarse_schedule_digest_matches_plain_schedule():
     run_plain = sample_sequences(QUBIT_FREE, plain, 10, seed=1)
     run_fine = sample_sequences(QUBIT_FREE, fine, 10, seed=1)
     assert run_plain.schedule_digest == run_fine.schedule_digest
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["plain", "coarse"])
+def test_schedule_digest_is_computed_once_per_schedule(monkeypatch, coarse):
+    calls = []
+    real = engine.canonical_digest
+
+    def counting(payload):
+        calls.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(engine, "canonical_digest", counting)
+    if coarse:
+        sched = CoarseSchedule(entries=((1.0, DEVX, None), (2.0, DEVZ, None)), init=UP_STATE)
+    else:
+        sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    runs = [sample_sequences(QUBIT_FREE, sched, 10, seed=s) for s in (1, 2)]
+    assert len(calls) == 1
+    assert runs[0].schedule_digest == runs[1].schedule_digest == real(sched.digest_payload())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitraj import (
     CoordTau,
@@ -231,6 +233,38 @@ def test_enumeration_matches_transfer(slices):
     assert np.abs(enum.matrix - transfer.matrix).max() <= 1e-12
 
 
+def _herm(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def _qutrit_environment_spec():
+    # two commuting couplings (functions of one observable, the second with a
+    # repeated eigenvalue) and a rank-2 environment state on three levels
+    rng = np.random.default_rng(2024)
+    w, v = np.linalg.eigh(_herm(rng, 3))
+    obs_1 = (v * w) @ v.conj().T
+    obs_2 = (v * np.array([1.0, -1.0, -1.0])) @ v.conj().T
+    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    rho = a @ a.conj().T
+    return OpenSpec(
+        system=SystemSpec(dim=2, hamiltonian=_herm(rng, 2)),
+        environment=SystemSpec(dim=3, hamiltonian=_herm(rng, 3)),
+        couplings=(Coupling(_herm(rng, 2), obs_1, 0.6), Coupling(_herm(rng, 2), obs_2, 0.3)),
+        env_state=State(rho / np.trace(rho).real),
+    )
+
+
+@pytest.mark.parametrize("t", [1.3, 0.0, -1.0, -2.5])
+@pytest.mark.parametrize("slices", [1, 2, 3, 4])
+def test_enumeration_matches_transfer_at_any_sign_of_time(slices, t):
+    spec = _qutrit_environment_spec()
+    assert np.linalg.matrix_rank(spec.env_state.density) == 2
+    enum = dynamical_map_bitraj(spec, t, slices, via_enumeration=True)
+    transfer = dynamical_map_bitraj(spec, t, slices)
+    assert np.abs(enum.matrix - transfer.matrix).max() <= 1e-12
+
+
 def test_noncommuting_env_couplings_rejected():
     spec = OpenSpec(
         system=SystemSpec(dim=2, hamiltonian=0.5 * SX),
@@ -265,6 +299,47 @@ def test_openspec_joint_hamiltonian():
         + 0.45 * np.kron(SZ, SX)
     )
     assert np.abs(spec.joint_hamiltonian() - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_openspec_joint_hamiltonian_is_the_kron_sum_bit_for_bit(seed):
+    rng = np.random.default_rng(3100 + seed)
+    d_o, d_e = (int(x) for x in rng.integers(2, 5, size=2))
+    h_o, h_e = _herm(rng, d_o), _herm(rng, d_e)
+    couplings = [
+        Coupling(_herm(rng, d_o), _herm(rng, d_e), float(rng.uniform(0.1, 2.0)))
+        for _ in range(seed % 3)
+    ]
+    spec = OpenSpec(
+        system=SystemSpec(dim=d_o, hamiltonian=h_o),
+        environment=SystemSpec(dim=d_e, hamiltonian=h_e),
+        couplings=tuple(couplings),
+        env_state=State(np.eye(d_e) / d_e),
+    )
+    expected = np.kron(h_o, np.eye(d_e)) + np.kron(np.eye(d_o), h_e)
+    for c in couplings:
+        expected = expected + c.strength * np.kron(c.op_a, c.op_b)
+    assert np.array_equal(spec.joint_hamiltonian(), expected)
+
+
+def _wide_spec(allow_large=False):
+    return OpenSpec(
+        system=SystemSpec(dim=8, hamiltonian=np.diag(np.arange(8.0)), allow_large=allow_large),
+        environment=SystemSpec(dim=9, hamiltonian=np.diag(0.5 * np.arange(9.0))),
+        couplings=(),
+        env_state=State(np.eye(9) / 9),
+    )
+
+
+def test_exact_map_obeys_the_dimension_cap(monkeypatch):
+    monkeypatch.delenv("BITRAJ_MAX_DIM", raising=False)
+    with pytest.raises(ValueError, match="dimension 72 exceeds the cap 64"):
+        dynamical_map_exact(_wide_spec(), 0.4)
+    # the bi-trajectory map never builds the joint system
+    assert dynamical_map_bitraj(_wide_spec(), 0.4, 1).is_trace_preserving()
+    assert dynamical_map_exact(_wide_spec(allow_large=True), 0.4).is_trace_preserving()
+    monkeypatch.setenv("BITRAJ_MAX_DIM", "100")
+    assert dynamical_map_exact(_wide_spec(), 0.4).is_trace_preserving()
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +421,46 @@ def test_commutator_gate_scales_with_the_observables(seed, norm):
     for anti in (False, True):
         mom = two_time_commutator(system, f2, f1, 1.7, 0.6, state, anticommutator=anti)
         assert abs(mom.direct - mom.from_biprob) <= 1e-10 * norm**2
+
+
+@st.composite
+def commutator_cases(draw):
+    """Dimension 2-5; ||H||_2, ||F1||_2 and ||F2||_2 each from 1e-2 to 1e5.
+
+    F1 has repeated eigenvalues in some cases; states have every rank.
+    """
+    dim = draw(st.integers(2, 5))
+    n_distinct = draw(st.integers(1, dim))
+    rank = draw(st.integers(1, dim))
+    log_h, log_f1, log_f2 = (draw(st.floats(-2.0, 5.0)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scaled(m, log_norm):
+        return m * 10.0**log_norm / np.linalg.norm(m, 2)
+
+    def unitary():
+        return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+    system = SystemSpec(dim=dim, hamiltonian=scaled(_herm(rng, dim), log_h))
+    levels = rng.normal(size=n_distinct)
+    eigs = levels[np.arange(dim) % n_distinct]
+    v = unitary()
+    f1 = scaled((v * eigs) @ v.conj().T, log_f1)
+    f2 = scaled(_herm(rng, dim), log_f2)
+    v = unitary()[:, :rank]
+    w = rng.dirichlet(np.ones(rank))
+    state = State((v * w) @ v.conj().T)
+    t1 = float(rng.uniform(0.0, 2.0))
+    return system, f1, f2, t1, t1 + float(rng.uniform(0.1, 2.0)), state
+
+
+@settings(max_examples=60)
+@given(commutator_cases(), st.booleans())
+def test_commutator_gate_holds_at_any_scale(case, anticommutator):
+    system, f1, f2, t1, t2, state = case
+    mom = two_time_commutator(system, f2, f1, t2, t1, state, anticommutator=anticommutator)
+    scale = max(1.0, float(np.linalg.norm(f1, 2) * np.linalg.norm(f2, 2)))
+    assert abs(mom.direct - mom.from_biprob) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
