@@ -50,7 +50,7 @@ from .engine import (
     chain_probabilities,
     property_report,
 )
-from .lab import empirical_distribution, estimate_uncertainty, sample_sequences
+from .lab import _check_seed, empirical_distribution, estimate_uncertainty, sample_sequences
 from .master import (
     OpenSpec,
     classical_diagnostic,
@@ -264,13 +264,16 @@ def _matrix(obj, where: str) -> np.ndarray:
         raise CliError(f"config error at {where}: {exc}") from None
 
 
+def _operator(obj, where: str, dim: int) -> np.ndarray:
+    """A ``dim`` x ``dim`` matrix of the config at ``where``."""
+    m = _matrix(obj, where)
+    if m.shape != (dim, dim):
+        raise CliError(f"config error at {where}: shape {m.shape} does not match dim {dim}")
+    return m
+
+
 def _build_system(obj: dict, where: str, allow_large: bool = False) -> SystemSpec:
-    h = _matrix(obj["hamiltonian"], where + "/hamiltonian")
-    if h.shape != (obj["dim"], obj["dim"]):
-        raise CliError(
-            f"config error at {where}/hamiltonian: shape {h.shape} does not "
-            f"match dim {obj['dim']}"
-        )
+    h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
     try:
         return SystemSpec(
             dim=obj["dim"],
@@ -434,12 +437,14 @@ def _build_init_spec(
         raise CliError(f"config error at {where}: {exc}") from None
 
 
-def _couplings(items: list[dict], key_a: str, key_b: str, where: str) -> tuple[Coupling, ...]:
-    """Product couplings whose two operators sit under ``key_a`` and ``key_b``."""
+def _couplings(
+    items: list[dict], key_a: str, key_b: str, where: str, dims: tuple[int, int]
+) -> tuple[Coupling, ...]:
+    """Product couplings: operators of dimensions ``dims`` under ``key_a`` and ``key_b``."""
     return tuple(
         Coupling(
-            op_a=_matrix(c[key_a], f"{where}/{i}/{key_a}"),
-            op_b=_matrix(c[key_b], f"{where}/{i}/{key_b}"),
+            op_a=_operator(c[key_a], f"{where}/{i}/{key_a}", dims[0]),
+            op_b=_operator(c[key_b], f"{where}/{i}/{key_b}", dims[1]),
             strength=float(c.get("strength", 1.0)),
         )
         for i, c in enumerate(items)
@@ -450,6 +455,16 @@ def _require_param(params: dict, key: str, verb: str):
     if key not in params:
         raise CliError(f"config error at /params/{key}: required by the {verb} command")
     return params[key]
+
+
+def _seed_param(params: dict, runs: int = 1) -> int:
+    """The run seed; ``runs`` sampling runs use it and the ``runs - 1`` seeds after it."""
+    seed = params.get("seed", 0)
+    try:
+        _check_seed(seed, runs)
+    except ValueError as exc:
+        raise CliError(f"config error at /params/seed: {exc}") from None
+    return seed
 
 
 def _device_param(params: dict, key: str, devices: dict[str, Device], verb: str) -> Device:
@@ -672,7 +687,9 @@ def _cmd_compose(ctx: _Context) -> None:
         _check_tandem(sched_a, sched_b)
     except ValueError as exc:
         raise CliError(f"config error at /composite/b/schedule/entries: {exc}") from None
-    couplings = _couplings(comp.get("couplings", []), "op_a", "op_b", "/composite/couplings")
+    couplings = _couplings(
+        comp.get("couplings", []), "op_a", "op_b", "/composite/couplings", (sys_a.dim, sys_b.dim)
+    )
     try:
         compose(CompositeSpec(sys_a, sys_b, couplings))
     except ValueError as exc:
@@ -747,6 +764,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     devices = ctx.need_devices(system)
     dev_k = _device_param(ctx.params, "device_k", devices, "uncertainty")
     dev_l = _device_param(ctx.params, "device_l", devices, "uncertainty")
+    seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
     exact = uncertainty_matrix(system, dev_k, dev_l, t)
     row_gap = float(np.abs(exact.sum(axis=0) - 1.0).max())
@@ -770,7 +788,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
             t,
             float(ctx.params.get("dt", 0.0)),
             ctx.params["n_samples"],
-            ctx.params.get("seed", 0),
+            seed,
         )
         ctx.results["empirical"] = {
             "matrix": [
@@ -793,18 +811,26 @@ def _cmd_map_compare(ctx: _Context) -> None:
         raise CliError("config error at /env_init: required by the map-compare command")
     environment = _build_system(ctx.cfg["environment"], "/environment")
     couplings = _couplings(
-        ctx.cfg.get("couplings", []), "op_system", "op_environment", "/couplings"
+        ctx.cfg.get("couplings", []),
+        "op_system",
+        "op_environment",
+        "/couplings",
+        (system.dim, environment.dim),
     )
+    rho_env = _operator(ctx.cfg["env_init"]["density"], "/env_init/density", environment.dim)
     try:
-        env_state = State(_matrix(ctx.cfg["env_init"]["density"], "/env_init/density"))
+        env_state = State(rho_env)
+    except ValueError as exc:
+        raise CliError(f"config error at /env_init/density: {exc}") from None
+    try:
         spec = OpenSpec(
             system=system,
             environment=environment,
             couplings=couplings,
             env_state=env_state,
         )
-    except ValueError as exc:
-        raise CliError(f"config error: {exc}") from None
+    except ValueError as exc:  # a coupling operator that is not Hermitian
+        raise CliError(f"config error at /couplings: {exc}") from None
     t = float(_require_param(ctx.params, "t", "map-compare"))
     slices = sorted(_require_param(ctx.params, "slices", "map-compare"))
 
@@ -857,8 +883,7 @@ def _cmd_sample(ctx: _Context) -> None:
     devices = ctx.need_devices(system)
     cs = ctx.need_coarse_schedule(system, devices)
     n_samples = _require_param(ctx.params, "n_samples", "sample")
-    seed = ctx.params.get("seed", 0)
-    run = sample_sequences(system, cs, n_samples, seed)
+    run = sample_sequences(system, cs, n_samples, _seed_param(ctx.params))
     dist = empirical_distribution(run)
     ctx.results.update(
         {

@@ -7,27 +7,29 @@ tables with binomial error bars, interference terms reconstructed from fine
 vs. pair-merged readout runs, and conditional (uncertainty) matrices estimated
 from back-to-back readouts.
 
-Randomness is counter-based: every trial owns a fixed range of Philox counter
-blocks keyed by the run seed, so the counts depend only on the seed and the
-number of trials, not on how the trials are grouped or chunked.
+Randomness is counter-based: the seed, an integer in [0, 2**64), keys one
+Philox stream per run, and every trial owns a fixed range of its counter
+blocks, so the counts depend only on the seed and the number of trials, not
+on how the trials are grouped or chunked.
 
 Trials are routed through a table of the outcome prefixes they reach.  Each
 prefix is a node built once per run, with one Born vector and, below the last
-readout, one collapsed density; a chunk of trials moves through the table
-level by level as an array of node ids, and only prefixes never reached
-before are built.  The table is emptied at the start of a chunk once it holds
-more than ``_CHUNK`` nodes, so it never holds more than ``len(stacks) *
-_CHUNK`` nodes whatever the number of trials.
+readout, one collapsed density; the new nodes of a level are built together
+in one batched pass.  A chunk of trials moves through the table level by
+level as an array of node ids.  The table is emptied at the start of a chunk
+once it holds more than ``_CHUNK`` nodes, so it never holds more than
+``len(stacks) * _CHUNK`` nodes whatever the number of trials.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .coarse import CoarseSchedule, Resolution
 from .core import Device, Label, State, SystemSpec, heisenberg_projectors
@@ -120,22 +122,14 @@ def empirical_distribution(run: SampleRun) -> EmpiricalDist:
 _CHUNK = 2**12
 
 
-def _born(projs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-    """Clipped Born weights of ``rho``, their total, surviving outcomes and cumsum."""
-    probs = np.einsum("oij,ji->o", projs, rho).real
-    np.clip(probs, 0.0, None, out=probs)
-    total = probs.sum()
-    if total <= 1e-300:
-        raise RuntimeError(
-            "all readout branches vanished mid-chain; the projector chain is inconsistent"
-        )
-    alive = np.nonzero(probs > 1e-300)[0]
-    return probs, total, alive, np.cumsum(probs[alive])
+def _born(projs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born weights of ``rho``, one per outcome, before clipping."""
+    return np.einsum("oij,ji->o", projs, rho).real
 
 
-def _collapse(proj: np.ndarray, rho: np.ndarray, p: float) -> np.ndarray:
-    """State after outcome ``proj`` of probability ``p``: ``(P rho P) / p``."""
-    return (proj @ rho @ proj) / p
+def _collapse(projs: np.ndarray, rhos: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """States after outcomes ``projs`` of probabilities ``p``, on stacks: ``(P rho P) / p``."""
+    return (projs @ rhos @ projs) / p[:, None, None]
 
 
 class _Nodes:
@@ -145,39 +139,55 @@ class _Nodes:
     cumulative weights of the surviving outcomes (one row per column, padded
     with +inf), the surviving outcomes themselves (padded by repeating the
     last one) and the clipped weights, plus its child ids (-1: not built
-    yet).  Per-(node, outcome) rows are flat, at ``node * m + k``.  Densities
-    are kept only where a child may still be collapsed from them.
+    yet) and the row one level up it was reached from.  Per-(node, outcome)
+    rows are flat, at ``node * m + k``.  Densities are kept, as one stack,
+    only where a child may still be collapsed from them.
     """
 
     def __init__(self, projs: np.ndarray, last: bool):
-        self.projs = projs
-        self.m = len(projs)
-        self.prefix: list[tuple[int, ...]] = []
-        self.rho: list[np.ndarray] | None = None if last else []
-        self.total = np.empty(0)
-        self.cum = np.empty((self.m, 0))
-        self.alive = np.empty(0, dtype=np.intp)
-        self.probs = np.empty(0)
-        self.child = np.empty(0, dtype=np.intp)
+        self.projs, (self.m, d, _) = projs, projs.shape
+        self.rho = None if last else np.empty((0, d, d), dtype=complex)
+        self.total, self.probs, self.cum = np.empty(0), np.empty(0), np.empty((self.m, 0))
+        self.up, self.alive, self.child = (np.empty(0, dtype=np.intp) for _ in range(3))
 
-    def add(self, prefixes: list[tuple[int, ...]], rhos: list[np.ndarray]) -> np.ndarray:
-        """Append one node per (prefix, density); returns their ids."""
+    def add(self, up: np.ndarray, rhos: Sequence[np.ndarray]) -> np.ndarray:
+        """Append one node per density, reached from rows ``up``; returns their ids."""
         k, m = len(rhos), self.m
-        total, cum = np.empty(k), np.full((m, k), np.inf)
-        alive, probs = np.empty((k, m), dtype=np.intp), np.empty((k, m))
-        for r, rho in enumerate(rhos):
-            probs[r], total[r], a, cum[: len(a), r] = _born(self.projs, rho)
-            alive[r] = a[np.minimum(np.arange(m), len(a) - 1)]
-        first = len(self.prefix)
-        self.prefix += prefixes
+        probs = np.array([_born(self.projs, rho) for rho in rhos])
+        np.clip(probs, 0.0, None, out=probs)
+        total = probs.sum(axis=1)
+        if (total <= 1e-300).any():
+            raise RuntimeError(
+                "all readout branches vanished mid-chain; the projector chain is inconsistent"
+            )
+        keep = probs > 1e-300
+        order = np.argsort(~keep, axis=1, kind="stable")  # survivors first, in order
+        n_alive, slots = keep.sum(axis=1)[:, None], np.arange(m)
+        cum = np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)
+        cum[slots >= n_alive] = np.inf
+        alive = np.take_along_axis(order, np.minimum(slots, n_alive - 1), axis=1)
+        first = len(self.total)
+        self.up = np.concatenate((self.up, up))
         if self.rho is not None:
-            self.rho += rhos
+            self.rho = np.concatenate((self.rho, rhos))
         self.total = np.concatenate((self.total, total))
-        self.cum = np.concatenate((self.cum, cum), axis=1)
+        self.cum = np.concatenate((self.cum, cum.T), axis=1)
         self.alive = np.concatenate((self.alive, alive.ravel()))
         self.probs = np.concatenate((self.probs, probs.ravel()))
         self.child = np.concatenate((self.child, np.full(k * m, -1, dtype=np.intp)))
         return np.arange(first, first + k)
+
+
+def _flush(table: list[_Nodes], tally: np.ndarray, counts: dict) -> None:
+    """Add the last level's per-row ``tally`` to ``counts``, keyed by outcome indices."""
+    hit = rows = np.flatnonzero(tally)
+    cols = []
+    for lv in reversed(table):
+        node, o = np.divmod(rows, lv.m)
+        cols.append(o.tolist())
+        rows = lv.up[node]
+    for seq, c in zip(zip(*reversed(cols)), tally[hit].tolist()):
+        counts[seq] = counts.get(seq, 0) + c
 
 
 def _run_trials(
@@ -185,30 +195,29 @@ def _run_trials(
 ) -> dict[tuple[int, ...], int]:
     """Outcome-index tallies of ``n_samples`` trials, routed through a prefix table.
 
-    Trial k reads its draws from Philox counter blocks ``[k*b, (k+1)*b)``, so
-    one generator per chunk reproduces every trial's own stream.  Every
-    reached prefix is a node built once per run, with one Born vector and
-    (below the last readout) one collapse; trials move level by level as an
-    array of node ids.  A trial's slot is ``searchsorted(cum, x, "right")``
-    clamped to ``m - 1``, counted as the first ``m - 1`` cumulative weights
-    ``<= x``.  The table is emptied at the start of a chunk once it holds
-    more than ``_CHUNK`` nodes, so it never exceeds ``len(stacks) * _CHUNK``.
+    Trial k reads counter blocks ``[k*b, (k+1)*b)`` of the run's one Philox
+    stream, made into doubles as ``Generator.random`` does.  A trial's slot
+    is ``searchsorted(cum, x, "right")`` clamped to ``m - 1``, counted as the
+    first ``m - 1`` cumulative weights ``<= x``; last-level rows are tallied
+    by ``bincount`` per table.
     """
     blocks_per_trial = max(1, math.ceil(len(stacks) / 4))
     last = len(stacks) - 1
+    stream = Philox(key=seed)
     counts: dict[tuple[int, ...], int] = {}
     table: list[_Nodes] = []
+    tally = np.zeros(0, dtype=np.intp)
     for start in range(0, n_samples, _CHUNK):
-        if not table or sum(len(lv.prefix) for lv in table) > _CHUNK:
+        if not table or sum(len(lv.total) for lv in table) > _CHUNK:
+            _flush(table, tally, counts)
             table = [_Nodes(projs, j == last) for j, projs in enumerate(stacks)]
-            table[0].add([()], [init_density])
+            table[0].add(np.full(1, -1), [init_density])
+            tally = np.zeros(0, dtype=np.intp)
         n = min(_CHUNK, n_samples - start)
-        counter = np.array([start * blocks_per_trial, 0, 0, 0], dtype=np.uint64)
-        rng = Generator(Philox(key=np.uint64(seed), counter=counter))
-        draws = rng.random(n * 4 * blocks_per_trial).reshape(n, 4 * blocks_per_trial)
+        raw = stream.random_raw(n * 4 * blocks_per_trial).reshape(n, -1).T
         node = np.zeros(n, dtype=np.intp)
         for j, lv in enumerate(table):
-            x = draws[:, j] * lv.total[node]
+            x = (raw[j] >> np.uint64(11)) * 2.0**-53 * lv.total[node]
             base = node * lv.m
             slot = base.copy()
             for col in lv.cum[:-1]:
@@ -220,18 +229,22 @@ def _run_trials(
             missing = node < 0
             if missing.any():
                 pairs = np.unique(key[missing])
-                prefixes, rhos = [], []
-                for p in pairs.tolist():
-                    i, o = divmod(p, lv.m)
-                    prefixes.append(lv.prefix[i] + (o,))
-                    rhos.append(_collapse(lv.projs[o], lv.rho[i], lv.probs[p]))
-                lv.child[pairs] = table[j + 1].add(prefixes, rhos)
+                i, o = np.divmod(pairs, lv.m)
+                rhos = _collapse(lv.projs[o], lv.rho[i], lv.probs[pairs])
+                lv.child[pairs] = table[j + 1].add(pairs, rhos)
                 node = lv.child[key]
-        keys, tally = np.unique(key, return_counts=True)
-        for k, c in zip(keys.tolist(), tally.tolist()):
-            seq = lv.prefix[k // lv.m] + (k % lv.m,)
-            counts[seq] = counts.get(seq, 0) + c
+        new = np.bincount(key, minlength=len(tally))
+        new[: len(tally)] += tally
+        tally = new
+    _flush(table, tally, counts)
     return counts
+
+
+def _check_seed(seed, runs: int = 1) -> None:
+    """Reject ``seed`` unless it and the ``runs - 1`` seeds after it lie in [0, 2**64)."""
+    integer = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed <= 2**64 - runs):
+        raise ValueError(f"seed must be an integer in [0, 2**64 - {runs}], got {seed!r}")
 
 
 def sample_sequences(
@@ -244,12 +257,13 @@ def sample_sequences(
     """Draw outcome sequences by chaining Born weights with collapse updates.
 
     Every trial consumes its own fixed range of counter blocks, so the result
-    depends only on ``(seed, n_samples)``.  ``workers`` must be at least 1; it
-    changes neither the counts nor the work, since all trials run in one
-    vectorised pass.
+    depends only on ``seed``, an integer in [0, 2**64), and ``n_samples``, an
+    integer >= 1.  ``workers`` must be at least 1; it changes neither the
+    counts nor the work, since all trials run in one vectorised pass.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _check_seed(seed)
     if workers < 1:
         raise ValueError("need at least one worker")
     stacks = [
@@ -391,6 +405,7 @@ def estimate_uncertainty(
     """
     if dt < 0:
         raise ValueError("the delay must be non-negative")
+    _check_seed(seed, runs=2)
     d = system.dim
     mixed = State(np.eye(d) / d, time_tag=min(0.0, float(t)))
     fwd = CoarseSchedule(

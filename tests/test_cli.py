@@ -859,3 +859,58 @@ def test_integral_float_means_the_integer(tmp_path, path):
     assert reports[1]["checks"] == reports[0]["checks"]
     assert reports[1]["config_digest"] == canonical_digest(as_float)
     assert reports[1]["config_digest"] != reports[0]["config_digest"]
+
+
+# ---------------------------------------------------------------------------
+# seeds and meaning errors that the shape walker cannot see carry a pointer too
+
+
+SAMPLE_BASE = dict(ZX_BASE, command="sample", params={"n_samples": 50})
+EXACT_ONLY = dict(PINNED_BASES["uncertainty"], params={"device_k": "X", "device_l": "Z"})
+
+
+@pytest.mark.parametrize(
+    "cfg, largest",
+    [
+        (SAMPLE_BASE, 2**64 - 1),
+        (PINNED_BASES["uncertainty"], 2**64 - 2),
+        (EXACT_ONLY, 2**64 - 2),
+    ],
+    ids=["sample", "uncertainty", "uncertainty-exact-only"],
+)
+def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
+    # seeds lie in [0, 2**64); the uncertainty verb's role-swapped run uses seed + 1
+    verb = cfg["command"]
+    (tmp_path / "largest").mkdir()
+    code, _, _ = run(tmp_path / "largest", verb, _mutated(cfg, ("params", "seed"), largest))
+    assert code == 0
+    past = _mutated(cfg, ("params", "seed"), largest + 1)
+    assert main([verb, "--config", write_config(tmp_path, past)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /params/seed: seed must be an integer in [0, 2**64 - " in err
+
+
+@pytest.mark.parametrize(
+    "base, path, value, pointer",
+    [
+        ("map", COUPLING_ENV + ("op_environment",), mat(np.eye(3)), "/couplings/0/op_environment"),
+        ("map", COUPLING_ENV + ("op_system",), mat(np.eye(3)), "/couplings/0/op_system"),
+        ("map", COUPLING_ENV + ("op_system",), mat([[0, 1], [0, 0]]), "/couplings"),
+        ("map", ("env_init", "density"), mat(np.zeros((2, 2))), "/env_init/density"),
+        ("map", ("env_init", "density"), mat(np.eye(3) / 3), "/env_init/density"),
+        ("compose", COUPLING_AB + ("op_b",), mat(np.eye(3)), "/composite/couplings/0/op_b"),
+    ],
+    ids=[
+        "op_environment-shape",
+        "op_system-shape",
+        "not-hermitian",
+        "zero-density",
+        "density-shape",
+        "compose-op_b-shape",
+    ],
+)
+def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):
+    cfg = _mutated(PINNED_BASES[base], path, value)
+    code = main([cfg["command"], "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert f"config error at {pointer}: " in capsys.readouterr().err

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
@@ -85,6 +85,36 @@ def test_sample_rejects_bad_arguments():
         sample_sequences(QUBIT_FREE, sched, 0, seed=1)
     with pytest.raises(ValueError):
         sample_sequences(QUBIT_FREE, sched, 10, seed=1, workers=0)
+
+
+@pytest.mark.parametrize(
+    "n_samples, seed, field",
+    [
+        (10, 2**64, "seed"),
+        (10, -1, "seed"),
+        (10, 1.5, "seed"),
+        (10, True, "seed"),
+        (10, "3", "seed"),
+        (True, 1, "n_samples"),
+        (100.0, 1, "n_samples"),
+    ],
+)
+def test_sample_rejects_bad_seeds_and_trial_counts(n_samples, seed, field):
+    sched = Schedule(entries=((1.0, DEVZ),), init=UP_STATE)
+    with pytest.raises(ValueError, match=field):
+        sample_sequences(QUBIT_FREE, sched, n_samples, seed=seed)
+
+
+def test_seed_range_is_zero_to_two_to_the_64():
+    sched = Schedule(entries=((1.0, DEVX),), init=UP_STATE)
+    assert sum(sample_sequences(QUBIT_FREE, sched, 10, seed=2**64 - 1).counts.values()) == 10
+    numpy_seed = sample_sequences(QUBIT_FREE, sched, 300, seed=np.uint64(5))
+    assert numpy_seed.counts == sample_sequences(QUBIT_FREE, sched, 300, seed=5).counts
+    # the role-swapped run of an uncertainty estimate uses seed + 1
+    with pytest.raises(ValueError, match="seed"):
+        estimate_uncertainty(QUBIT_FREE, DEVZ, DEVX, 0.0, 0.0, 10, seed=2**64 - 1)
+    est = estimate_uncertainty(QUBIT_FREE, DEVZ, DEVX, 0.0, 0.0, 10, seed=2**64 - 2)
+    assert est.n_samples == 10
 
 
 def test_sample_run_validates_counts():
@@ -434,7 +464,7 @@ def test_each_reached_prefix_is_built_once_per_run(monkeypatch):
     run = sample_sequences(QUTRIT, FIVE_QUTRIT, n, seed=23)
     prefixes = {seq[:k] for seq in run.counts for k in range(len(seq))}
     assert len(borns) == len(prefixes)
-    assert len(collapses) == len(prefixes) - 1  # every prefix but the empty one
+    assert sum(len(a[1]) for a in collapses) == len(prefixes) - 1  # all but the empty prefix
     assert sum(run.counts.values()) == n
 
 
@@ -481,3 +511,94 @@ def test_vanished_branch_raises(monkeypatch, chunk, init, second):
     stacks = [np.stack(P3[:2]), np.stack(second)]
     with pytest.raises(RuntimeError, match="vanished"):
         lab._run_trials(init.astype(complex), stacks, seed=31, n_samples=400)
+
+
+# ---------------------------------------------------------------------------
+# the batched build of a level's nodes against the per-node arithmetic
+
+
+def per_node_born(projs, rho):
+    """Reference node: clipped Born weights, their total, surviving outcomes, cumsum."""
+    probs = np.einsum("oij,ji->o", projs, rho).real
+    np.clip(probs, 0.0, None, out=probs)
+    alive = np.nonzero(probs > 1e-300)[0]
+    return probs, probs.sum(), alive, np.cumsum(probs[alive])
+
+
+# a diagonal Hamiltonian keeps the Z3 readouts diagonal, so the unpopulated
+# middle level of the state is an outcome of weight exactly 0
+DEAD_MIDDLE = (
+    SystemSpec(dim=3, hamiltonian=np.diag([0.3, -0.1, 0.5])),
+    CoarseSchedule(
+        entries=((0.5, DEVZ3, None), (0.9, DEVF3, None), (1.2, DEVZ3, None)),
+        init=State(np.diag([0.6, 0.0, 0.4])),
+    ),
+    1,
+    0,
+)
+
+
+@settings(max_examples=60)
+@given(sampler_cases())
+@example(DEAD_MIDDLE)
+def test_batched_nodes_match_per_node_reference(case):
+    system, schedule, _, _ = case
+    stacks = [
+        np.stack(heisenberg_projectors(system, dev, t))
+        for t, dev in zip(schedule.times, schedule.devices)
+    ]
+    rhos, up = [schedule.init.density], np.array([-1])
+    for j, projs in enumerate(stacks):
+        m, last = len(projs), j == len(stacks) - 1
+        nodes = lab._Nodes(projs, last)
+        half = len(rhos) // 2  # two adds where there are two nodes, so appending is covered
+        parts = [slice(0, None)] if half == 0 else [slice(0, half), slice(half, None)]
+        ids = np.concatenate([nodes.add(up[p], rhos[p]) for p in parts])
+        assert np.array_equal(ids, np.arange(len(rhos)))
+        assert np.array_equal(nodes.up, up)
+        pairs, reference = [], []
+        for r, rho in enumerate(rhos):
+            probs, total, alive, cum = per_node_born(projs, rho)
+            assert np.array_equal(nodes.probs[r * m : (r + 1) * m], probs)
+            assert nodes.total[r] == total
+            assert np.array_equal(nodes.cum[: len(alive), r], cum)
+            assert np.all(nodes.cum[len(alive) :, r] == np.inf)
+            padded = alive[np.minimum(np.arange(m), len(alive) - 1)]
+            assert np.array_equal(nodes.alive[r * m : (r + 1) * m], padded)
+            for o in alive.tolist():
+                pairs.append(r * m + o)
+                reference.append((projs[o] @ rho @ projs[o]) / probs[o])
+        if last:
+            assert nodes.rho is None
+            break
+        assert np.array_equal(nodes.rho, np.stack(rhos))
+        up = np.array(pairs[:48])  # keep the deeper levels small
+        i, o = np.divmod(up, m)
+        rhos = lab._collapse(projs[o], nodes.rho[i], nodes.probs[up])
+        assert np.array_equal(rhos, np.stack(reference[:48]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**12])
+@pytest.mark.parametrize("entries, blocks", [(3, 1), (5, 2)], ids=["b1", "b2"])
+def test_one_stream_per_run_gives_the_per_chunk_draws(monkeypatch, chunk, entries, blocks):
+    # the run reads chunk s (trials from s on) where a generator started at
+    # counter block s * b would; its doubles are Generator.random's
+    raws = []
+
+    class Recording(Philox):
+        def random_raw(self, size=None, output=True):
+            raws.append(super().random_raw(size, output))
+            return raws[-1]
+
+    monkeypatch.setattr(lab, "_CHUNK", chunk)
+    monkeypatch.setattr(lab, "Philox", Recording)
+    sched = Schedule(entries=FIVE_QUTRIT.entries[:entries], init=RHO3)
+    n, seed = (40 if chunk < 2**12 else 2**12 + 300), 37
+    sample_sequences(QUTRIT, sched, n, seed=seed)
+    starts = range(0, n, chunk)
+    assert len(raws) == len(starts)
+    for start, raw in zip(starts, raws):
+        counter = np.array([start * blocks, 0, 0, 0], dtype=np.uint64)
+        size = min(chunk, n - start) * 4 * blocks
+        expected = Generator(Philox(key=np.uint64(seed), counter=counter)).random(size)
+        assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, expected)
