@@ -1,8 +1,9 @@
 """Config-driven command-line runner.
 
 One JSON config file describes the system, the measuring devices, the
-schedule and the command to run; the runner validates it strictly (unknown
-keys are rejected, bad entries are reported with JSON-pointer locations),
+schedule and the command to run; the runner validates it strictly against
+the keys that command reads (any other key is rejected, bad entries are
+reported with JSON-pointer locations),
 executes the requested computation, and writes a machine-readable
 ``report.json`` plus per-command CSV artifacts into the output directory.
 
@@ -71,19 +72,6 @@ __all__ = ["main"]
 
 REPORT_SCHEMA_VERSION = 1
 
-VERBS = (
-    "table",
-    "verify",
-    "coarse",
-    "compose",
-    "markov",
-    "zeno",
-    "uncertainty",
-    "map-compare",
-    "sample",
-    "classical",
-)
-
 DEFAULT_TOLERANCES = {
     "normalization": 1e-8,
     "biconsistency": 1e-10,
@@ -120,7 +108,6 @@ class CliError(Exception):
 # array (``max_len`` None: unbounded); or a dict of key -> shape for an object,
 # where a key ending in ``?`` is optional and any key not listed is rejected.
 _LABEL = "a label (string, number or boolean)"
-_VERB = "one of " + ", ".join(VERBS)
 
 
 def _number(x) -> bool:
@@ -140,7 +127,6 @@ _LEAVES = {
     "a boolean": lambda x: isinstance(x, bool),
     _LABEL: lambda x: isinstance(x, (str, int, float)),
     "schema version 1": lambda x: _number(x) and x == 1,
-    _VERB: lambda x: isinstance(x, str) and x in VERBS,
 }
 _MATRIX = [[["a number", 2, 2], 1, None], 1, None]  # rows of [re, im] pairs
 _LABELS = [_LABEL, 1, None]
@@ -156,54 +142,99 @@ _RESOLUTION = {"blocks": [_LABELS, 1, None], "labels?": [_LABEL, 0, None]}
 _SCHEDULE = {
     "entries": [{"time": "a number", "device": "a string", "resolution?": _RESOLUTION}, 1, None]
 }
+_WEIGHTS = [{"device": "a string", "outcome": _LABEL, "weight": "a number"}, 1, None]
 _INIT = {
     "density?": _MATRIX,
     "maximally_mixed?": "a boolean",
-    "weights?": [{"device": "a string", "outcome": _LABEL, "weight": "a number"}, 1, None],
+    "weights?": _WEIGHTS,
     "time?": "a number",
 }
 _FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
 _BI = {"plus": _LABELS, "minus": _LABELS}
-_CONFIG_SHAPE = {
-    "schema_version": "schema version 1",
-    "command": _VERB,
-    "system": _SYSTEM,
-    "devices?": _DEVICES,
-    "schedule?": _SCHEDULE,
-    "init?": _INIT,
-    "composite?": {
-        "a": _FACTOR,
-        "b": _FACTOR,
-        "couplings?": [{"op_a": _MATRIX, "op_b": _MATRIX, "strength?": "a number"}, 0, None],
-    },
-    "environment?": _SYSTEM,
-    "couplings?": [
-        {"op_system": _MATRIX, "op_environment": _MATRIX, "strength?": "a number"}, 0, None
-    ],
-    "env_init?": {"density": _MATRIX},
-    "params?": {
-        "T?": "a number",
-        "n_list?": ["an integer >= 1", 1, None],
-        "slices?": ["an integer >= 1", 1, None],
-        "t?": "a number",
-        "dt?": "a number >= 0",
-        "n_samples?": "an integer >= 1",
-        "seed?": "an integer >= 0",
-        "outcome?": _LABEL,
-        "outcomes?": [_LABEL, 0, None],
-        "position?": "an integer >= 0",
-        "pair?": [_LABEL, 2, 2],
-        "times?": ["a number", 2, None],
-        "device?": "a string",
-        "device_k?": "a string",
-        "device_l?": "a string",
-        "threshold?": "a number",
-        "cross_check?": "a boolean",
-        "bi_a?": _BI,
-        "bi_b?": _BI,
-    },
-    "tolerances?": {key + "?": "a number" for key in DEFAULT_TOLERANCES},
+
+# verb -> (the top-level blocks it reads, the ``params`` keys it reads); a key
+# without ``?`` is required.  The compose verb reads no top-level ``system``,
+# but its configs have always carried one, so it stays required.
+_VERB_KEYS = {
+    "table": (_FACTOR, {}),
+    "verify": (_FACTOR, {}),
+    "coarse": (
+        _FACTOR,
+        {"outcomes": [_LABEL, 0, None], "pair?": [_LABEL, 2, 2], "position?": "an integer >= 0"},
+    ),
+    "compose": (
+        {
+            "system": _SYSTEM,
+            "composite": {
+                "a": _FACTOR,
+                "b": _FACTOR,
+                "couplings?": [
+                    {"op_a": _MATRIX, "op_b": _MATRIX, "strength?": "a number"}, 0, None
+                ],
+            },
+        },
+        {"bi_a?": _BI, "bi_b?": _BI},
+    ),
+    "markov": (
+        {
+            "system": _SYSTEM,
+            "devices": _DEVICES,
+            "init": {"weights": _WEIGHTS, "time?": "a number"},
+        },
+        {"device": "a string", "times": ["a number", 2, None]},
+    ),
+    "zeno": (
+        {"system": _SYSTEM, "devices": _DEVICES},
+        {
+            "device": "a string",
+            "outcome": _LABEL,
+            "T": "a number",
+            "n_list": ["an integer >= 1", 1, None],
+        },
+    ),
+    "uncertainty": (
+        {"system": _SYSTEM, "devices": _DEVICES},
+        {
+            "device_k": "a string",
+            "device_l": "a string",
+            "t?": "a number",
+            "dt?": "a number >= 0",
+            "n_samples?": "an integer >= 1",
+            "seed?": "an integer >= 0",
+        },
+    ),
+    "map-compare": (
+        {
+            "system": _SYSTEM,
+            "environment": _SYSTEM,
+            "couplings?": [
+                {"op_system": _MATRIX, "op_environment": _MATRIX, "strength?": "a number"}, 0, None
+            ],
+            "env_init": {"density": _MATRIX},
+        },
+        {"t": "a number", "slices": ["an integer >= 1", 1, None], "cross_check?": "a boolean"},
+    ),
+    "sample": (_FACTOR, {"n_samples": "an integer >= 1", "seed?": "an integer >= 0"}),
+    "classical": (_FACTOR, {"threshold?": "a number"}),
 }
+VERBS = tuple(_VERB_KEYS)
+
+
+def _config_shape(verb: str, blocks: dict, params: dict) -> dict:
+    """The whole config shape of ``verb``, with a new ``command`` leaf that admits only ``verb``."""
+    command = f"{verb!r}, the verb on the command line"
+    _LEAVES[command] = lambda x: x == verb
+    params_key = "params?" if all(key.endswith("?") for key in params) else "params"
+    return {
+        "schema_version": "schema version 1",
+        "command": command,
+        **blocks,
+        params_key: params,
+        "tolerances?": {key + "?": "a number" for key in DEFAULT_TOLERANCES},
+    }
+
+
+_CONFIG_SHAPES = {verb: _config_shape(verb, *keys) for verb, keys in _VERB_KEYS.items()}
 
 
 def _shape_errors(value: Any, shape: Any, ptr: str) -> Iterator[str]:
@@ -246,12 +277,13 @@ def _with_ints(value: Any, shape: Any) -> Any:
     return {key: _with_ints(v, fields[key]) for key, v in value.items()}
 
 
-def _validate_schema(cfg: Any) -> dict:
-    """Reject ``cfg`` unless it fits ``_CONFIG_SHAPE``; returns it with integer leaves as ints."""
-    errors = [f"config error at {e}" for e in _shape_errors(cfg, _CONFIG_SHAPE, "")]
+def _validate_schema(cfg: Any, verb: str) -> dict:
+    """Reject ``cfg`` unless it fits ``verb``'s shape; returns it with integer leaves as ints."""
+    shape = _CONFIG_SHAPES[verb]
+    errors = [f"config error at {e}" for e in _shape_errors(cfg, shape, "")]
     if errors:
         raise CliError("\n".join(errors))
-    return _with_ints(cfg, _CONFIG_SHAPE)
+    return _with_ints(cfg, shape)
 
 
 # --------------------------------------------------------------------------
@@ -272,15 +304,10 @@ def _operator(obj, where: str, dim: int) -> np.ndarray:
     return m
 
 
-def _build_system(obj: dict, where: str, allow_large: bool = False) -> SystemSpec:
+def _build_system(obj: dict, where: str) -> SystemSpec:
     h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
     try:
-        return SystemSpec(
-            dim=obj["dim"],
-            hamiltonian=h,
-            label=obj.get("label", "H"),
-            allow_large=allow_large,
-        )
+        return SystemSpec(dim=obj["dim"], hamiltonian=h, label=obj.get("label", "H"))
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
 
@@ -380,14 +407,23 @@ def _build_init(
         raise CliError(f"config error at {where}: {exc}") from None
 
 
-def _build_coarse_schedule(
-    obj: dict,
-    devices: dict[str, Device],
-    init: State,
-    where: str = "/schedule",
-) -> CoarseSchedule:
+def _build_experiment(
+    obj: dict, plain: bool, where: str = ""
+) -> tuple[SystemSpec, Schedule | CoarseSchedule]:
+    """The system and the schedule, with its init, of ``obj``: a config or a composite factor.
+
+    ``plain`` folds each resolution into a coarse device and gives a ``Schedule``,
+    which needs strictly increasing times; otherwise the result is a
+    ``CoarseSchedule``.
+    """
+    system = _build_system(obj["system"], where + "/system")
+    devices = _build_devices(obj["devices"], system.dim, where + "/devices")
+    items = obj["schedule"]["entries"]
+    t_first = float(items[0]["time"])
+    init = _build_init(obj.get("init"), system, devices, t_first, plain, where + "/init")
+    where += "/schedule"
     entries = []
-    for i, e in enumerate(obj["entries"]):
+    for i, e in enumerate(items):
         ptr = f"{where}/entries/{i}"
         dev = devices.get(e["device"])
         if dev is None:
@@ -397,31 +433,21 @@ def _build_coarse_schedule(
             res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
         entries.append((float(e["time"]), dev, res))
     try:
-        return CoarseSchedule(entries=tuple(entries), init=init)
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
-
-
-def _as_plain_schedule(cs: CoarseSchedule, where: str = "/schedule") -> Schedule:
-    """Fold resolutions into coarse devices; requires strictly increasing times."""
-    try:
-        return Schedule(entries=tuple(zip(cs.times, cs.devices)), init=cs.init)
+        cs = CoarseSchedule(entries=tuple(entries), init=init)
+        if plain:
+            return system, Schedule(entries=tuple(zip(cs.times, cs.devices)), init=init)
+        return system, cs
     except ValueError as exc:
         raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _build_init_spec(
-    obj: dict | None,
+    obj: dict,
     devices: dict[str, Device],
     where: str = "/init",
     default_time: float = 0.0,
 ) -> InitSpec:
     """The ``weights`` form of an init section as weighted readout events."""
-    if obj is None or "weights" not in obj:
-        raise CliError(
-            f"config error at {where}: this command needs an initialization "
-            f"given as weighted readout events ('weights')"
-        )
     entries = []
     for j, w in enumerate(obj["weights"]):
         dev = devices.get(w["device"])
@@ -451,12 +477,6 @@ def _couplings(
     )
 
 
-def _require_param(params: dict, key: str, verb: str):
-    if key not in params:
-        raise CliError(f"config error at /params/{key}: required by the {verb} command")
-    return params[key]
-
-
 def _seed_param(params: dict, runs: int = 1) -> int:
     """The run seed; ``runs`` sampling runs use it and the ``runs - 1`` seeds after it."""
     seed = params.get("seed", 0)
@@ -467,8 +487,17 @@ def _seed_param(params: dict, runs: int = 1) -> int:
     return seed
 
 
-def _device_param(params: dict, key: str, devices: dict[str, Device], verb: str) -> Device:
-    name = _require_param(params, key, verb)
+def _partner(params: dict, key: str, partner: str) -> None:
+    """Reject ``params[key]`` when ``params[partner]``, without which it is not read, is missing."""
+    if key in params and partner not in params:
+        raise CliError(
+            f"config error at /params/{key}: {key!r} is read only together with "
+            f"{partner!r}, which is missing"
+        )
+
+
+def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
+    name = params[key]
     dev = devices.get(name)
     if dev is None:
         raise CliError(f"config error at /params/{key}: unknown device {name!r}")
@@ -526,36 +555,9 @@ class _Context:
     def tol(self, key: str) -> float:
         return float(self.tolerances[key])
 
-    def need_system(self) -> SystemSpec:
-        return _build_system(self.cfg["system"], "/system")
-
-    def need_devices(self, system: SystemSpec) -> dict[str, Device]:
-        if "devices" not in self.cfg:
-            raise CliError("config error at /devices: required by this command")
-        return _build_devices(self.cfg["devices"], system.dim, "/devices")
-
-    def need_coarse_schedule(self, system: SystemSpec, devices: dict[str, Device]) -> CoarseSchedule:
-        if "schedule" not in self.cfg:
-            raise CliError("config error at /schedule: required by this command")
-        entries = self.cfg["schedule"]["entries"]
-        t_first = float(entries[0]["time"])
-        init = _build_init(self.cfg.get("init"), system, devices, t_first, strict_times=False)
-        return _build_coarse_schedule(self.cfg["schedule"], devices, init)
-
-    def need_plain_schedule(self, system: SystemSpec, devices: dict[str, Device]) -> Schedule:
-        if "schedule" not in self.cfg:
-            raise CliError("config error at /schedule: required by this command")
-        entries = self.cfg["schedule"]["entries"]
-        t_first = float(entries[0]["time"])
-        init = _build_init(self.cfg.get("init"), system, devices, t_first, strict_times=True)
-        cs = _build_coarse_schedule(self.cfg["schedule"], devices, init)
-        return _as_plain_schedule(cs)
-
 
 def _cmd_table(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    schedule = ctx.need_plain_schedule(system, devices)
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
     table = biprob_table(system, schedule, force_large=ctx.force_large)
     m = table.matrix
     ctx.results.update(
@@ -572,9 +574,7 @@ def _cmd_table(ctx: _Context) -> None:
 
 
 def _cmd_verify(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    schedule = ctx.need_plain_schedule(system, devices)
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
     table = biprob_table(system, schedule, force_large=ctx.force_large)
     rep = property_report(table)
     ctx.results.update(rep.as_dict())
@@ -599,12 +599,10 @@ def _cmd_verify(ctx: _Context) -> None:
 
 
 def _cmd_coarse(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    cs = ctx.need_coarse_schedule(system, devices)
-    outcomes = tuple(
-        label_from_json(o) for o in _require_param(ctx.params, "outcomes", "coarse")
-    )
+    _partner(ctx.params, "pair", "position")
+    _partner(ctx.params, "position", "pair")
+    system, cs = _build_experiment(ctx.cfg, plain=False)
+    outcomes = tuple(label_from_json(o) for o in ctx.params["outcomes"])
     if len(outcomes) != len(cs):
         raise CliError(
             f"config error at /params/outcomes: {len(outcomes)} readouts for a "
@@ -637,15 +635,13 @@ def _cmd_coarse(ctx: _Context) -> None:
     except ValueError as exc:
         ctx.results["recurrence"] = {"skipped": str(exc)}
 
-    if "pair" in ctx.params and "position" in ctx.params:
+    if "pair" in ctx.params:
         position = ctx.params["position"]
         pair = tuple(label_from_json(x) for x in ctx.params["pair"])
-        fine = _as_plain_schedule(
-            CoarseSchedule(
-                entries=tuple((t, dev, None) for t, dev, _ in cs.entries),
-                init=cs.init,
-            )
-        )
+        try:
+            fine = Schedule(entries=tuple((t, dev) for t, dev, _ in cs.entries), init=cs.init)
+        except ValueError as exc:
+            raise CliError(f"config error at /schedule: {exc}") from None
         term = interference_term(system, fine, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
@@ -665,24 +661,12 @@ def _cmd_coarse(ctx: _Context) -> None:
     )
 
 
-def _build_factor(obj: dict, where: str) -> tuple[SystemSpec, dict[str, Device], Schedule]:
-    system = _build_system(obj["system"], where + "/system")
-    devices = _build_devices(obj["devices"], system.dim, where + "/devices")
-    entries = obj["schedule"]["entries"]
-    t_first = float(entries[0]["time"])
-    init = _build_init(
-        obj.get("init"), system, devices, t_first, strict_times=True, where=where + "/init"
-    )
-    cs = _build_coarse_schedule(obj["schedule"], devices, init, where + "/schedule")
-    return system, devices, _as_plain_schedule(cs, where + "/schedule")
-
-
 def _cmd_compose(ctx: _Context) -> None:
-    if "composite" not in ctx.cfg:
-        raise CliError("config error at /composite: required by the compose command")
+    _partner(ctx.params, "bi_a", "bi_b")
+    _partner(ctx.params, "bi_b", "bi_a")
     comp = ctx.cfg["composite"]
-    sys_a, _, sched_a = _build_factor(comp["a"], "/composite/a")
-    sys_b, _, sched_b = _build_factor(comp["b"], "/composite/b")
+    sys_a, sched_a = _build_experiment(comp["a"], plain=True, where="/composite/a")
+    sys_b, sched_b = _build_experiment(comp["b"], plain=True, where="/composite/b")
     try:
         _check_tandem(sched_a, sched_b)
     except ValueError as exc:
@@ -700,7 +684,7 @@ def _cmd_compose(ctx: _Context) -> None:
     if not couplings:
         ctx.checks.append(_check("factorization", delta, ctx.tol("factorization"), "<="))
 
-    if "bi_a" in ctx.params and "bi_b" in ctx.params:
+    if "bi_a" in ctx.params:
         if couplings:
             raise CliError(
                 "config error at /params/bi_a: co-interference is defined for "
@@ -722,11 +706,11 @@ def _cmd_compose(ctx: _Context) -> None:
 
 
 def _cmd_markov(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    device = _device_param(ctx.params, "device", devices, "markov")
-    times = [float(t) for t in _require_param(ctx.params, "times", "markov")]
-    init = _build_init_spec(ctx.cfg.get("init"), devices)
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    device = _device_param(ctx.params, "device", devices)
+    times = [float(t) for t in ctx.params["times"]]
+    init = _build_init_spec(ctx.cfg["init"], devices)
     rep = markov_delta(system, device, times, init)
     ctx.results.update(
         {"delta": rep.delta, "excluded": rep.excluded, "checked": rep.checked}
@@ -742,13 +726,11 @@ def _cmd_markov(ctx: _Context) -> None:
 
 
 def _cmd_zeno(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    device = _device_param(ctx.params, "device", devices, "zeno")
-    outcome = label_from_json(_require_param(ctx.params, "outcome", "zeno"))
-    total_time = float(_require_param(ctx.params, "T", "zeno"))
-    n_list = _require_param(ctx.params, "n_list", "zeno")
-    series = zeno_scan(system, device, outcome, total_time, n_list)
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    device = _device_param(ctx.params, "device", devices)
+    outcome = label_from_json(ctx.params["outcome"])
+    series = zeno_scan(system, device, outcome, float(ctx.params["T"]), ctx.params["n_list"])
     ctx.results.update(
         {
             "rate": series.rate,
@@ -760,10 +742,11 @@ def _cmd_zeno(ctx: _Context) -> None:
 
 
 def _cmd_uncertainty(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    dev_k = _device_param(ctx.params, "device_k", devices, "uncertainty")
-    dev_l = _device_param(ctx.params, "device_l", devices, "uncertainty")
+    _partner(ctx.params, "dt", "n_samples")
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    dev_k = _device_param(ctx.params, "device_k", devices)
+    dev_l = _device_param(ctx.params, "device_l", devices)
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
     exact = uncertainty_matrix(system, dev_k, dev_l, t)
@@ -804,11 +787,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
 
 
 def _cmd_map_compare(ctx: _Context) -> None:
-    system = ctx.need_system()
-    if "environment" not in ctx.cfg:
-        raise CliError("config error at /environment: required by the map-compare command")
-    if "env_init" not in ctx.cfg:
-        raise CliError("config error at /env_init: required by the map-compare command")
+    system = _build_system(ctx.cfg["system"], "/system")
     environment = _build_system(ctx.cfg["environment"], "/environment")
     couplings = _couplings(
         ctx.cfg.get("couplings", []),
@@ -831,8 +810,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
         )
     except ValueError as exc:  # a coupling operator that is not Hermitian
         raise CliError(f"config error at /couplings: {exc}") from None
-    t = float(_require_param(ctx.params, "t", "map-compare"))
-    slices = sorted(_require_param(ctx.params, "slices", "map-compare"))
+    t = float(ctx.params["t"])
+    slices = sorted(ctx.params["slices"])
 
     try:
         exact = dynamical_map_exact(spec, t)
@@ -879,11 +858,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
 
 
 def _cmd_sample(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    cs = ctx.need_coarse_schedule(system, devices)
-    n_samples = _require_param(ctx.params, "n_samples", "sample")
-    run = sample_sequences(system, cs, n_samples, _seed_param(ctx.params))
+    system, cs = _build_experiment(ctx.cfg, plain=False)
+    run = sample_sequences(system, cs, ctx.params["n_samples"], _seed_param(ctx.params))
     dist = empirical_distribution(run)
     ctx.results.update(
         {
@@ -921,9 +897,7 @@ def _cmd_sample(ctx: _Context) -> None:
 
 
 def _cmd_classical(ctx: _Context) -> None:
-    system = ctx.need_system()
-    devices = ctx.need_devices(system)
-    schedule = ctx.need_plain_schedule(system, devices)
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
     table = biprob_table(system, schedule, force_large=ctx.force_large)
     threshold = float(ctx.params.get("threshold", ctx.tol("classical_threshold")))
     diag = classical_diagnostic(table, threshold=threshold)
@@ -1007,12 +981,7 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             raise CliError(f"config is not valid JSON: {exc}") from None
 
-        written, cfg = cfg, _validate_schema(cfg)
-        if cfg["command"] != args.verb:
-            raise CliError(
-                f"config error at /command: config says {cfg['command']!r} but the "
-                f"command line asked for {args.verb!r}"
-            )
+        written, cfg = cfg, _validate_schema(cfg, args.verb)
 
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(cfg.get("tolerances", {}))

@@ -1,13 +1,16 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitraj.cli import _CONFIG_SHAPE, main
+from bitraj.cli import _CONFIG_SHAPES, VERBS, main
 from bitraj.serialize import canonical_digest
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -507,6 +510,9 @@ MIXED_BASE = dict(ZX_BASE, init={"maximally_mixed": True})
 PINNED_BASES = {
     "zx": dict(ZX_BASE, tolerances={"normalization": 1e-8}),
     "mixed": MIXED_BASE,
+    "table": dict(ZX_BASE, command="table"),
+    "classical": dict(ZX_BASE, command="classical", params={"threshold": 1e-8}),
+    "sample": dict(ZX_BASE, command="sample", params={"n_samples": 50, "seed": 3}),
     "coarse": dict(
         ZX_BASE,
         command="coarse",
@@ -836,7 +842,8 @@ def _integer_leaves(shape, path=()):
 
 
 def test_every_integer_leaf_has_a_base():
-    assert set(_integer_leaves(_CONFIG_SHAPE)) == set(INTEGER_LEAVES)
+    leaves = set().union(*(_integer_leaves(shape) for shape in _CONFIG_SHAPES.values()))
+    assert leaves == set(INTEGER_LEAVES)
 
 
 @pytest.mark.parametrize(
@@ -914,3 +921,130 @@ def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, poi
     code = main([cfg["command"], "--config", write_config(tmp_path, cfg)])
     assert code == 2
     assert f"config error at {pointer}: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# each verb takes only the keys it reads: a key another verb reads is rejected
+
+
+# verb: (its pinned base, a top-level block it does not read, a params key it does not read)
+UNREAD = {
+    "table": ("table", "environment", "T"),
+    "verify": ("zx", "environment", "n_samples"),
+    "coarse": ("coarse", "composite", "seed"),
+    "compose": ("cointerference", "devices", "pair"),
+    "markov": ("markov", "schedule", "outcome"),
+    "zeno": ("zeno", "init", "times"),
+    "uncertainty": ("uncertainty", "init", "outcomes"),
+    "map-compare": ("map", "devices", "seed"),
+    "sample": ("sample", "env_init", "threshold"),
+    "classical": ("classical", "couplings", "n_samples"),
+}
+# a value the verbs that read the key take
+FOREIGN = {
+    "devices": [DEV_Z],
+    "init": {"maximally_mixed": True},
+    "schedule": ZX_BASE["schedule"],
+    "composite": PINNED_BASES["compose"]["composite"],
+    "environment": {"dim": 2, "hamiltonian": ZERO2},
+    "couplings": [],
+    "env_init": {"density": mat(np.eye(2) / 2)},
+    "T": 1.0,
+    "n_samples": 50,
+    "seed": 3,
+    "pair": ["+", "-"],
+    "outcome": "u",
+    "times": [0.5, 1.0],
+    "outcomes": ["u"],
+    "threshold": 1e-8,
+}
+
+
+@pytest.mark.parametrize("in_params", [False, True], ids=["block", "params"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_unread_key_is_rejected(tmp_path, capsys, verb, in_params):
+    base, block, param = UNREAD[verb]
+    assert PINNED_BASES[base]["command"] == verb
+    path, parent = (("params", param), "/params") if in_params else ((block,), "/")
+    cfg = _mutated(PINNED_BASES[base], path, FOREIGN[path[-1]])
+    code = main([verb, "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert f"config error at {parent}: unknown key {path[-1]!r}" in capsys.readouterr().err
+
+
+# keys a verb cannot run without: the shape reports each one by name
+MISSING_REQUIRED = [
+    ("zx", ("devices",)),
+    ("zx", ("schedule",)),
+    ("table", ("devices",)),
+    ("classical", ("schedule",)),
+    ("coarse", ("params",)),
+    ("coarse", ("params", "outcomes")),
+    ("sample", ("params", "n_samples")),
+    ("compose", ("composite",)),
+    ("markov", ("init",)),
+    ("markov", ("init", "weights")),
+    ("markov", ("params", "device")),
+    ("markov", ("params", "times")),
+    ("zeno", ("devices",)),
+    ("zeno", ("params", "device")),
+    ("zeno", ("params", "outcome")),
+    ("zeno", ("params", "T")),
+    ("zeno", ("params", "n_list")),
+    ("uncertainty", ("devices",)),
+    ("uncertainty", ("params", "device_k")),
+    ("uncertainty", ("params", "device_l")),
+    ("map", ("environment",)),
+    ("map", ("env_init",)),
+    ("map", ("params", "t")),
+    ("map", ("params", "slices")),
+]
+
+
+@pytest.mark.parametrize(
+    "base, path", MISSING_REQUIRED, ids=[f"{b}:/{'/'.join(p)}" for b, p in MISSING_REQUIRED]
+)
+def test_missing_required_key_is_named(tmp_path, capsys, base, path):
+    cfg = _mutated(PINNED_BASES[base], path, DELETE)
+    code = main([cfg["command"], "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    parent = "/" + "/".join(path[:-1])
+    assert f"config error at {parent}: missing required key {path[-1]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, present, missing",
+    [
+        ("uncertainty", "dt", "n_samples"),
+        ("coarse", "pair", "position"),
+        ("coarse", "position", "pair"),
+        ("cointerference", "bi_a", "bi_b"),
+        ("cointerference", "bi_b", "bi_a"),
+    ],
+)
+def test_lone_partner_key_exits_two(tmp_path, capsys, base, present, missing):
+    # these keys are read only next to their partner, so one alone is a config error
+    cfg = _mutated(PINNED_BASES[base], ("params", missing), DELETE)
+    code, report, _ = run(tmp_path, cfg["command"], cfg)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at /params/{present}: ")
+    assert repr(missing) in err
+
+
+def test_readme_lists_each_verbs_keys():
+    # README's per-verb table: verb, top-level blocks, params keys; "?" marks an optional key
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| verb | top-level blocks | `params` keys |") + 2
+    listed = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
+        verb, blocks, params = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
+        listed[verb[0]] = (set(blocks), set(params))
+    common = {"schema_version", "command", "params", "params?", "tolerances?"}
+    shapes = {
+        verb: (set(shape) - common, set(shape.get("params", shape.get("params?"))))
+        for verb, shape in _CONFIG_SHAPES.items()
+    }
+    assert listed == shapes

@@ -18,6 +18,7 @@ from bitraj import (
     TableSizeError,
     biprob,
     biprob_table,
+    device_from_hermitian,
     gudder_metric,
     marginalize_pair,
     property_report,
@@ -428,6 +429,76 @@ def test_property_report_matches_the_dense_reference(case):
     assert got == want  # every other witness bit for bit
     assert gram <= dense_gram + 1e-15  # a lower bound on the dense eigenvalue
     assert gram >= -1e-12
+
+
+@st.composite
+def degenerate_cases(draw):
+    """Random tables over spectral devices of observables with repeated eigenvalues.
+
+    Each entry's observable has 1 to dim - 1 distinct eigenvalues, so some
+    eigenspace has rank 2 or more.  The repeats are exact (a diagonal
+    observable) or the observable is conjugated by a random unitary, so that
+    ``eigh`` returns repeats that differ in the last bits.  Dimension 2-5, 1-5
+    entries, ||H||_2 and the spectral scale from 1e-2 to 1e3, rank-deficient
+    states; about half the cases are cut to N <= d^2 sequences.  Returns the
+    system, the schedule and each entry's number of distinct eigenvalues.
+    """
+    dim = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim))
+    n_levels = draw(st.lists(st.integers(1, dim - 1), min_size=n, max_size=n))
+    conjugate = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    log_scale = draw(st.floats(-2.0, 3.0))
+    log_spectrum = draw(st.floats(-2.0, 3.0))
+    cap = dim * dim if draw(st.booleans()) else 256
+    while len(n_levels) > 1 and math.prod(n_levels) > cap:
+        n_levels.pop()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = gaussian(dim, dim)
+    h = h + h.conj().T
+    system = SystemSpec(dim=dim, hamiltonian=h * 10.0**log_scale / np.linalg.norm(h, 2))
+    a = gaussian(dim, rank)
+    init = State(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    entries = []
+    t = 0.0
+    for j, (k, conj) in enumerate(zip(n_levels, conjugate)):
+        t += float(rng.uniform(0.1, 1.0))
+        # k levels at least half a unit apart, each repeated as often as its eigenspace's rank
+        levels = rng.normal() + np.arange(k) + 0.5 * rng.uniform(size=k)
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
+        spectrum = rng.permutation(np.repeat(levels, np.diff([0, *cuts, dim])))
+        obs = np.diag(spectrum * 10.0**log_spectrum).astype(complex)
+        if conj:
+            v = np.linalg.qr(gaussian(dim, dim))[0]
+            obs = v @ obs @ v.conj().T
+        entries.append((t, device_from_hermitian(obs, name=f"D{j}")))
+    return system, Schedule(entries=tuple(entries), init=init), n_levels
+
+
+@settings(max_examples=60)
+@given(degenerate_cases())
+def test_degenerate_observables_pass_the_cli_bounds(case):
+    system, sched, n_levels = case
+    # each eigenspace is one outcome, near-repeats included
+    assert [dev.n_outcomes for dev in sched.devices] == n_levels
+    got = property_report(biprob_table(system, sched)).as_dict()
+    bounds = {
+        "normalization_error": ("normalization", "<="),
+        "max_biconsistency_error": ("biconsistency", "<="),
+        "max_causality_violation": ("causality", "<="),
+        "max_hermitianity_error": ("hermitianity", "<="),
+        "min_gram_eigenvalue": ("gram_min", ">="),
+        "max_diagonal_negativity": ("diagonal_negativity", "<="),
+    }
+    checks = [
+        _check(key, got[witness], DEFAULT_TOLERANCES[key], comparator)
+        for witness, (key, comparator) in bounds.items()
+    ]
+    assert [c for c in checks if not c["pass"]] == []
 
 
 @settings(max_examples=30)
