@@ -14,6 +14,7 @@ records which); 2 — the config was rejected or a size/dimension guard fired.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ import numpy as np
 from .coarse import (
     CoarseSchedule,
     Resolution,
+    _block_label,
     faux_coarse_prob,
     interference_term,
     pairwise_decompose,
@@ -72,6 +74,8 @@ __all__ = ["main"]
 
 REPORT_SCHEMA_VERSION = 1
 
+# every check's default bound, all echoed in report.json; ``classical_threshold``
+# is the default of the classical verb's ``params.threshold``
 DEFAULT_TOLERANCES = {
     "normalization": 1e-8,
     "biconsistency": 1e-10,
@@ -94,11 +98,16 @@ DEFAULT_TOLERANCES = {
 
 
 class CliError(Exception):
-    """Fatal configuration or guard problem; carries the process exit code."""
+    """Fatal configuration, usage or guard problem: the process exits 2."""
 
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+
+@contextlib.contextmanager
+def _config_error(where: str) -> Iterator[None]:
+    """Re-raise a ``ValueError`` of the body as ``config error at <where>: <message>``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"config error at {where}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -152,15 +161,29 @@ _INIT = {
 _FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
 _BI = {"plus": _LABELS, "minus": _LABELS}
 
-# verb -> (the top-level blocks it reads, the ``params`` keys it reads); a key
-# without ``?`` is required.  The compose verb reads no top-level ``system``,
-# but its configs have always carried one, so it stays required.
+# verb -> (the top-level blocks it reads, the ``params`` keys it reads, the
+# ``tolerances`` keys it reads); a block or ``params`` key without ``?`` is
+# required, every ``tolerances`` key is optional.  The compose verb reads no
+# top-level ``system``, but its configs have always carried one, so it stays
+# required.
 _VERB_KEYS = {
-    "table": (_FACTOR, {}),
-    "verify": (_FACTOR, {}),
+    "table": (_FACTOR, {}, ("hermitianity",)),
+    "verify": (
+        _FACTOR,
+        {},
+        (
+            "normalization",
+            "biconsistency",
+            "causality",
+            "hermitianity",
+            "gram_min",
+            "diagonal_negativity",
+        ),
+    ),
     "coarse": (
         _FACTOR,
         {"outcomes": [_LABEL, 0, None], "pair?": [_LABEL, 2, 2], "position?": "an integer >= 0"},
+        ("pairwise", "interference_routes"),
     ),
     "compose": (
         {
@@ -174,6 +197,7 @@ _VERB_KEYS = {
             },
         },
         {"bi_a?": _BI, "bi_b?": _BI},
+        ("factorization",),
     ),
     "markov": (
         {
@@ -182,6 +206,7 @@ _VERB_KEYS = {
             "init": {"weights": _WEIGHTS, "time?": "a number"},
         },
         {"device": "a string", "times": ["a number", 2, None]},
+        ("markov",),
     ),
     "zeno": (
         {"system": _SYSTEM, "devices": _DEVICES},
@@ -191,6 +216,7 @@ _VERB_KEYS = {
             "T": "a number",
             "n_list": ["an integer >= 1", 1, None],
         },
+        (),
     ),
     "uncertainty": (
         {"system": _SYSTEM, "devices": _DEVICES},
@@ -202,6 +228,7 @@ _VERB_KEYS = {
             "n_samples?": "an integer >= 1",
             "seed?": "an integer >= 0",
         },
+        ("uncertainty_stochastic",),
     ),
     "map-compare": (
         {
@@ -213,14 +240,15 @@ _VERB_KEYS = {
             "env_init": {"density": _MATRIX},
         },
         {"t": "a number", "slices": ["an integer >= 1", 1, None], "cross_check?": "a boolean"},
+        ("map_tp", "map_choi_min", "map_residual_slack", "map_cross_check"),
     ),
-    "sample": (_FACTOR, {"n_samples": "an integer >= 1", "seed?": "an integer >= 0"}),
-    "classical": (_FACTOR, {"threshold?": "a number"}),
+    "sample": (_FACTOR, {"n_samples": "an integer >= 1", "seed?": "an integer >= 0"}, ()),
+    "classical": (_FACTOR, {"threshold?": "a number"}, ("classical_consistency",)),
 }
 VERBS = tuple(_VERB_KEYS)
 
 
-def _config_shape(verb: str, blocks: dict, params: dict) -> dict:
+def _config_shape(verb: str, blocks: dict, params: dict, tolerances: tuple) -> dict:
     """The whole config shape of ``verb``, with a new ``command`` leaf that admits only ``verb``."""
     command = f"{verb!r}, the verb on the command line"
     _LEAVES[command] = lambda x: x == verb
@@ -230,7 +258,7 @@ def _config_shape(verb: str, blocks: dict, params: dict) -> dict:
         "command": command,
         **blocks,
         params_key: params,
-        "tolerances?": {key + "?": "a number" for key in DEFAULT_TOLERANCES},
+        "tolerances?": {key + "?": "a number" for key in tolerances},
     }
 
 
@@ -290,10 +318,8 @@ def _validate_schema(cfg: Any, verb: str) -> dict:
 # builders
 
 def _matrix(obj, where: str) -> np.ndarray:
-    try:
+    with _config_error(where):
         return matrix_from_json(obj, where)
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _operator(obj, where: str, dim: int) -> np.ndarray:
@@ -306,10 +332,8 @@ def _operator(obj, where: str, dim: int) -> np.ndarray:
 
 def _build_system(obj: dict, where: str) -> SystemSpec:
     h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
-    try:
+    with _config_error(where):
         return SystemSpec(dim=obj["dim"], hamiltonian=h, label=obj.get("label", "H"))
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]:
@@ -326,7 +350,7 @@ def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]
                 f"config error at {ptr}: give exactly one of 'observable' or "
                 f"'outcomes'+'projectors'"
             )
-        try:
+        with _config_error(ptr):
             if has_obs:
                 dev = device_from_hermitian(_matrix(obj["observable"], ptr + "/observable"), name=name)
             else:
@@ -346,8 +370,6 @@ def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]
                     )
                 dev = Device(name=name, outcomes=outcomes, projectors=projs)
                 validate_device(dev)
-        except ValueError as exc:
-            raise CliError(f"config error at {ptr}: {exc}") from None
         if dev.dim != dim:
             raise CliError(
                 f"config error at {ptr}: device dimension {dev.dim} does not "
@@ -367,13 +389,9 @@ def _build_resolution(obj: dict, device: Device, where: str) -> Resolution:
                 f"{len(blocks)} blocks"
             )
     else:
-        labels = tuple(
-            b[0] if len(b) == 1 else "|".join(str(f) for f in b) for b in blocks
-        )
-    try:
+        labels = tuple(_block_label(b) for b in blocks)
+    with _config_error(where):
         return Resolution(device, blocks, labels)
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _build_init(
@@ -397,14 +415,12 @@ def _build_init(
             f"config error at {where}: give exactly one of 'density', "
             f"'weights' or 'maximally_mixed'"
         )
-    try:
+    with _config_error(where):
         if "density" in obj:
             return State(_matrix(obj["density"], where + "/density"), time_tag=time)
         if "weights" in obj:
             return init_metric(_build_init_spec(obj, devices, where, default_time), system)
         return State(np.eye(system.dim) / system.dim, time_tag=time)
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _build_experiment(
@@ -432,13 +448,11 @@ def _build_experiment(
         if "resolution" in e:
             res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
         entries.append((float(e["time"]), dev, res))
-    try:
+    with _config_error(where):
         cs = CoarseSchedule(entries=tuple(entries), init=init)
         if plain:
             return system, Schedule(entries=tuple(zip(cs.times, cs.devices)), init=init)
         return system, cs
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _build_init_spec(
@@ -457,10 +471,8 @@ def _build_init_spec(
                 f"{w['device']!r}"
             )
         entries.append((dev, label_from_json(w["outcome"]), float(w["weight"])))
-    try:
+    with _config_error(where):
         return InitSpec(entries=tuple(entries), time=float(obj.get("time", default_time)))
-    except ValueError as exc:
-        raise CliError(f"config error at {where}: {exc}") from None
 
 
 def _couplings(
@@ -480,10 +492,8 @@ def _couplings(
 def _seed_param(params: dict, runs: int = 1) -> int:
     """The run seed; ``runs`` sampling runs use it and the ``runs - 1`` seeds after it."""
     seed = params.get("seed", 0)
-    try:
+    with _config_error("/params/seed"):
         _check_seed(seed, runs)
-    except ValueError as exc:
-        raise CliError(f"config error at /params/seed: {exc}") from None
     return seed
 
 
@@ -638,10 +648,8 @@ def _cmd_coarse(ctx: _Context) -> None:
     if "pair" in ctx.params:
         position = ctx.params["position"]
         pair = tuple(label_from_json(x) for x in ctx.params["pair"])
-        try:
+        with _config_error("/schedule"):
             fine = Schedule(entries=tuple((t, dev) for t, dev, _ in cs.entries), init=cs.init)
-        except ValueError as exc:
-            raise CliError(f"config error at /schedule: {exc}") from None
         term = interference_term(system, fine, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
@@ -667,17 +675,13 @@ def _cmd_compose(ctx: _Context) -> None:
     comp = ctx.cfg["composite"]
     sys_a, sched_a = _build_experiment(comp["a"], plain=True, where="/composite/a")
     sys_b, sched_b = _build_experiment(comp["b"], plain=True, where="/composite/b")
-    try:
+    with _config_error("/composite/b/schedule/entries"):
         _check_tandem(sched_a, sched_b)
-    except ValueError as exc:
-        raise CliError(f"config error at /composite/b/schedule/entries: {exc}") from None
     couplings = _couplings(
         comp.get("couplings", []), "op_a", "op_b", "/composite/couplings", (sys_a.dim, sys_b.dim)
     )
-    try:
+    with _config_error("/composite"):
         compose(CompositeSpec(sys_a, sys_b, couplings))
-    except ValueError as exc:
-        raise CliError(f"config error at /composite: {exc}") from None
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
     ctx.results["coupled"] = bool(couplings)
@@ -797,26 +801,20 @@ def _cmd_map_compare(ctx: _Context) -> None:
         (system.dim, environment.dim),
     )
     rho_env = _operator(ctx.cfg["env_init"]["density"], "/env_init/density", environment.dim)
-    try:
+    with _config_error("/env_init/density"):
         env_state = State(rho_env)
-    except ValueError as exc:
-        raise CliError(f"config error at /env_init/density: {exc}") from None
-    try:
+    with _config_error("/couplings"):  # a coupling operator that is not Hermitian
         spec = OpenSpec(
             system=system,
             environment=environment,
             couplings=couplings,
             env_state=env_state,
         )
-    except ValueError as exc:  # a coupling operator that is not Hermitian
-        raise CliError(f"config error at /couplings: {exc}") from None
     t = float(ctx.params["t"])
     slices = sorted(ctx.params["slices"])
 
-    try:
+    with _config_error("/environment"):  # the joint dimension is over the cap
         exact = dynamical_map_exact(spec, t)
-    except ValueError as exc:  # the joint dimension is over the cap
-        raise CliError(f"config error at /environment: {exc}") from None
     rows = []
     maps = [dynamical_map_bitraj(spec, t, n) for n in slices]
     for n, bt in zip(slices, maps):
@@ -899,7 +897,7 @@ def _cmd_sample(ctx: _Context) -> None:
 def _cmd_classical(ctx: _Context) -> None:
     system, schedule = _build_experiment(ctx.cfg, plain=True)
     table = biprob_table(system, schedule, force_large=ctx.force_large)
-    threshold = float(ctx.params.get("threshold", ctx.tol("classical_threshold")))
+    threshold = float(ctx.params.get("threshold", DEFAULT_TOLERANCES["classical_threshold"]))
     diag = classical_diagnostic(table, threshold=threshold)
     ctx.results.update(
         {
@@ -963,11 +961,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--force-large",
         action="store_true",
-        help="lift the table-size guard for table-building commands",
+        help="lift the table-size guard (table, verify and classical only)",
     )
     args = parser.parse_args(argv)
 
     try:
+        if args.force_large and args.verb not in ("table", "verify", "classical"):
+            raise CliError(
+                f"--force-large is read only by the table, verify and classical verbs, "
+                f"not by {args.verb}"
+            )
         for name in ("BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"):
             try:
                 _env_cap(name)
@@ -1032,7 +1035,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
     except CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

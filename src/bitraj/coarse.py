@@ -75,28 +75,25 @@ class Resolution:
             missing = set(self.device.outcomes) - seen
             raise ValueError(f"resolution does not cover outcomes {missing!r}")
 
-    def block_of(self, fine_label: Label) -> Label:
-        for b, lab in zip(self.blocks, self.block_labels):
-            if fine_label in b:
-                return lab
-        raise KeyError(fine_label)
-
     def members(self, block_label: Label) -> tuple[Label, ...]:
         for b, lab in zip(self.blocks, self.block_labels):
             if lab == block_label:
                 return b
         raise KeyError(f"no block labelled {block_label!r}")
 
-    def block_projector(self, block_label: Label) -> np.ndarray:
-        return sum(self.device.projector_for(f) for f in self.members(block_label))
-
     @classmethod
     def singletons(cls, device: Device) -> "Resolution":
         return cls(device, tuple((o,) for o in device.outcomes), device.outcomes)
 
     @classmethod
-    def full(cls, device: Device, label: Label = "any") -> "Resolution":
-        return cls(device, (tuple(device.outcomes),), (label,))
+    def full(cls, device: Device) -> "Resolution":
+        """All outcomes in one block labelled ``"any"``."""
+        return cls(device, (tuple(device.outcomes),), ("any",))
+
+
+def _block_label(members: Sequence[Label]) -> Label:
+    """The default label of a block: its only member, or the members joined by ``|``."""
+    return members[0] if len(members) == 1 else "|".join(str(f) for f in members)
 
 
 def coarse_device(device: Device, resolution: Resolution) -> Device:
@@ -159,13 +156,9 @@ class CoarseSchedule:
     digest = Schedule.digest
 
     @classmethod
-    def from_schedule(cls, schedule: Schedule,
-                      resolutions: Sequence[Resolution | None] | None = None) -> "CoarseSchedule":
-        if resolutions is None:
-            resolutions = [None] * len(schedule)
-        entries = tuple(
-            (t, dev, res) for (t, dev), res in zip(schedule.entries, resolutions)
-        )
+    def from_schedule(cls, schedule: Schedule) -> "CoarseSchedule":
+        """The schedule's entries, each read out fine."""
+        entries = tuple((t, dev, None) for t, dev in schedule.entries)
         return cls(entries=entries, init=schedule.init)
 
 

@@ -48,10 +48,11 @@ def _as_complex_matrix(m, what: str) -> np.ndarray:
     return a
 
 
-def _check_hermitian(a: np.ndarray, what: str, tol: float = 1e-10) -> None:
+def _check_hermitian(a: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless ``|a - a^dag| <= 1e-10 * max(1, max|a|)`` entrywise."""
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > tol * scale:
-        raise ValueError(f"{what} is not Hermitian within tolerance {tol}")
+    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * scale:
+        raise ValueError(f"{what} is not Hermitian within tolerance 1e-10")
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -114,9 +115,9 @@ def _expm_herm(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
-def propagator(system: SystemSpec, t: float, t0: float = 0.0) -> np.ndarray:
-    """Unitary ``exp(-i (t - t0) H)``, computed through the eigendecomposition."""
-    return _expm_herm(*_system_eig(system), t - t0)
+def propagator(system: SystemSpec, t: float) -> np.ndarray:
+    """Unitary ``U(t, 0) = exp(-i t H)``, computed through the eigendecomposition."""
+    return _expm_herm(*_system_eig(system), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +160,9 @@ class Device:
     def projector_for(self, label: Label) -> np.ndarray:
         return self.projectors[self.outcome_index(label)]
 
-    def is_fine_grained(self, tol: float = 1e-9) -> bool:
-        return all(abs(np.trace(p).real - 1.0) <= tol for p in self.projectors)
+    def is_fine_grained(self) -> bool:
+        """Every projector has rank one (trace within 1e-9 of 1)."""
+        return all(abs(np.trace(p).real - 1.0) <= 1e-9 for p in self.projectors)
 
 
 @lru_cache(maxsize=2048)
@@ -168,13 +170,14 @@ def _outcome_map(device: Device) -> dict[Label, int]:
     return {label: i for i, label in enumerate(device.outcomes)}
 
 
-def validate_device(device: Device, tol: float = 1e-10) -> None:
+def validate_device(device: Device) -> None:
     """Check the projector axioms; raise ``ValueError`` describing the first failure.
 
-    Verifies Hermiticity, idempotency, pairwise orthogonality, completeness,
-    label uniqueness and (when a basis is attached) that the basis columns
-    reproduce the projectors.
+    Verifies Hermiticity, idempotency, pairwise orthogonality and completeness
+    (each entrywise within 1e-10), label uniqueness and (when a basis is
+    attached) that the basis columns reproduce the projectors within 1e-9.
     """
+    tol = 1e-10
     if len(device.outcomes) != len(device.projectors):
         raise ValueError(f"device {device.name!r}: {len(device.outcomes)} labels for "
                          f"{len(device.projectors)} projectors")
@@ -213,14 +216,13 @@ def validate_device(device: Device, tol: float = 1e-10) -> None:
                 )
 
 
-def _eigen_groups(w: np.ndarray, tol: float | None = None) -> list[list[int]]:
+def _eigen_groups(w: np.ndarray) -> list[list[int]]:
     """Runs of ascending eigenvalues whose neighbours lie within ``tol``.
 
-    The default tolerance is ``DEGENERACY_RTOL`` times the spectral range (at
-    least 1); consecutive gaps chain, so a group may span more than ``tol``.
+    ``tol`` is ``DEGENERACY_RTOL`` times the spectral range (at least 1);
+    consecutive gaps chain, so a group may span more than ``tol``.
     """
-    if tol is None:
-        tol = DEGENERACY_RTOL * max(float(w[-1] - w[0]), 1.0)
+    tol = DEGENERACY_RTOL * max(float(w[-1] - w[0]), 1.0)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] <= tol:
@@ -230,18 +232,18 @@ def _eigen_groups(w: np.ndarray, tol: float | None = None) -> list[list[int]]:
     return groups
 
 
-def device_from_hermitian(observable, name: str, tol: float | None = None) -> Device:
+def device_from_hermitian(observable, name: str) -> Device:
     """Spectral device of a Hermitian matrix.
 
-    Eigenvalues closer than ``tol`` (default: 1e-9 times the spectral range)
-    are merged into a single outcome whose projector spans the near-degenerate
+    Eigenvalues closer than 1e-9 times the spectral range (at least 1) are
+    merged into a single outcome whose projector spans the near-degenerate
     eigenspace; the label is the mean of the merged eigenvalues.  For a
     perfectly fine-grained result the eigenbasis is attached.
     """
     obs = _as_complex_matrix(observable, "observable")
     _check_hermitian(obs, "observable")
     w, v = np.linalg.eigh(obs)
-    groups = _eigen_groups(w, tol)
+    groups = _eigen_groups(w)
     outcomes = []
     projectors = []
     for g in groups:
@@ -337,8 +339,8 @@ def mub_partner(device: Device) -> Device:
     )
 
 
-def tensor_device(dev_a: Device, dev_b: Device, name: str | None = None) -> Device:
-    """Joint readout of two independent subsystems; labels are (a, b) pairs."""
+def tensor_device(dev_a: Device, dev_b: Device) -> Device:
+    """Joint readout ``a*b`` of two independent subsystems; labels are (a, b) pairs."""
     outcomes = tuple((a, b) for a in dev_a.outcomes for b in dev_b.outcomes)
     projectors = tuple(
         np.kron(pa, pb) for pa in dev_a.projectors for pb in dev_b.projectors
@@ -347,7 +349,7 @@ def tensor_device(dev_a: Device, dev_b: Device, name: str | None = None) -> Devi
     if dev_a.basis is not None and dev_b.basis is not None:
         basis = np.kron(dev_a.basis, dev_b.basis)
     return Device(
-        name=name if name is not None else f"{dev_a.name}*{dev_b.name}",
+        name=f"{dev_a.name}*{dev_b.name}",
         outcomes=outcomes,
         projectors=projectors,
         basis=basis,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import core
 from .core import Device, Label, State, SystemSpec, _env_cap, _heisenberg
-from .serialize import canonical_digest, label_to_json, matrix_to_json
+from .serialize import canonical_digest, csv_cell, label_to_json, matrix_to_json
 
 __all__ = [
     "BiProbTable",
@@ -362,7 +362,7 @@ class BiProbTable:
             + ["re", "im"]
         )
         lines = [",".join(header)]
-        cells = [",".join(seq) for seq in self._sequence_labels(_csv_cell)]
+        cells = [",".join(seq) for seq in self._sequence_labels(csv_cell)]
         for fp, row in zip(cells, self.matrix):
             for fm, q in zip(cells, row.tolist()):
                 lines.append(f"{fp},{fm},{q.real:.17g},{q.imag:.17g}")
@@ -372,13 +372,6 @@ class BiProbTable:
 def _fresh(labels) -> list:
     """A new list of JSON labels; nested (tuple-label) lists are copied too."""
     return [_fresh(x) if isinstance(x, list) else x for x in labels]
-
-
-def _csv_cell(label: Label) -> str:
-    text = str(label_to_json(label))
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def biprob_table(
@@ -615,20 +608,20 @@ class GudderMetric:
     rank: int
 
 
-def gudder_metric(table: BiProbTable, tol: float = 1e-10) -> GudderMetric:
+def gudder_metric(table: BiProbTable) -> GudderMetric:
     """The table read as a positive unit-trace metric over sequence labels.
 
     With one formal basis vector per outcome sequence, ``metric[f+, f-]``
     reproduces Q(f+, f-) exactly by construction.  The rank counts the
     directions that survive after quotienting out null vectors (eigenvalues at
-    or below ``tol`` times the largest).
+    or below ``1e-10 * max(1, largest eigenvalue)``).
     """
     herm = 0.5 * (table.matrix + table.matrix.conj().T)
     trace = float(np.trace(herm).real)
     if abs(trace - 1.0) > 1e-10:
         raise ValueError(f"table trace {trace} deviates from 1 beyond 1e-10")
     eigvals = np.linalg.eigvalsh(herm)
-    floor = tol * max(1.0, float(eigvals.max(initial=0.0)))
+    floor = 1e-10 * max(1.0, float(eigvals.max(initial=0.0)))
     rank = int((eigvals > floor).sum())
     labels = tuple(table._sequence_labels())
     return GudderMetric(metric=herm, basis_labels=labels, rank=rank)
@@ -648,9 +641,10 @@ def uniform_bound_check(
     device: Device,
     total_time: float,
     n_grid: int,
-    init: State | None = None,
 ) -> UniformBoundReport:
     """Masses ``sum |Q|`` on equispaced grids j*T/n (n = 1..n_grid) vs. the bound.
+
+    Every grid starts from the maximally mixed state at time 0.
 
     The ceiling is ``|Omega|^2 * exp(2 |Omega| * sup_f v(f) * T)`` with v the
     short-time decay rate of each outcome's survival probability (an energy
@@ -659,9 +653,7 @@ def uniform_bound_check(
     """
     from .phenomena import zeno_rate
 
-    if init is None:
-        dim = system.dim
-        init = State(np.eye(dim) / dim, time_tag=0.0)
+    init = State(np.eye(system.dim) / system.dim, time_tag=0.0)
     n_out = device.n_outcomes
     rates = [zeno_rate(system, device, f, 0.0) for f in device.outcomes]
     sup_v = max(rates)

@@ -31,11 +31,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .coarse import CoarseSchedule, Resolution
+from .coarse import CoarseSchedule, Resolution, _block_label
 from .core import Device, Label, State, SystemSpec, heisenberg_projectors
 from .engine import Schedule
 from .phenomena import uncertainty_matrix
-from .serialize import label_to_json
+from .serialize import csv_cell, label_to_json
 
 __all__ = [
     "EmpiricalDist",
@@ -90,9 +90,7 @@ class SampleRun:
         for seq, c in sorted(self.counts.items(), key=lambda kv: str(kv[0])):
             p = c / n
             sig = math.sqrt(p * (1.0 - p) / n)
-            cell = ";".join(str(label_to_json(l)) for l in seq)
-            if any(ch in cell for ch in ',"\n'):
-                cell = '"' + cell.replace('"', '""') + '"'
+            cell = csv_cell(";".join(str(label_to_json(l)) for l in seq))
             lines.append(f"{cell},{c},{p:.17g},{sig:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -288,15 +286,13 @@ class InterferenceEstimate(NamedTuple):
     std_error: float
 
 
-def pair_resolution(device: Device, pair: tuple[Label, Label], label: Label | None = None) -> Resolution:
-    """Merge two outcomes of a device into one block; every other outcome stays fine."""
+def pair_resolution(device: Device, pair: tuple[Label, Label]) -> Resolution:
+    """Merge two outcomes of a device into one block labelled ``a|b``; the rest stay fine."""
     a, b = pair
     if a == b:
         raise ValueError("the pair must hold two distinct outcomes")
-    if label is None:
-        label = f"{a}|{b}"
     blocks: list[tuple[Label, ...]] = [(a, b)]
-    labels: list[Label] = [label]
+    labels: list[Label] = [_block_label(pair)]
     for o in device.outcomes:
         if o != a and o != b:
             blocks.append((o,))
@@ -310,18 +306,15 @@ def reconstruct_interference(
     position: int,
     pair: tuple[Label, Label],
     context: Sequence[Label] = (),
-    block_label: Label | None = None,
 ) -> InterferenceEstimate:
     """Interference term between two outcomes, from empirical tallies alone.
 
     Half the merged-block probability minus the two fine probabilities, all
     taken at the same surrounding ``context`` (the outcomes at every other
-    position).  ``block_label`` defaults to the ``pair_resolution`` convention.
+    position).  The merged block carries the ``pair_resolution`` label ``a|b``.
     Raises when none of the three required cells was ever observed — a sign
     the labels or context do not belong to these runs.
     """
-    if block_label is None:
-        block_label = f"{pair[0]}|{pair[1]}"
     context = tuple(context)
 
     def seq_with(x: Label) -> tuple[Label, ...]:
@@ -331,7 +324,7 @@ def reconstruct_interference(
 
     s_plus = seq_with(pair[0])
     s_minus = seq_with(pair[1])
-    s_block = seq_with(block_label)
+    s_block = seq_with(_block_label(pair))
     if (
         s_block not in coarse.probabilities
         and s_plus not in fine.probabilities

@@ -24,6 +24,7 @@ from .core import (
     Device,
     State,
     SystemSpec,
+    _check_hermitian,
     _eigen_groups,
     _expm_herm,
     _heisenberg,
@@ -105,24 +106,13 @@ class CoordTau:
         return self.basis.shape[0]
 
     @classmethod
-    def from_generators(
-        cls,
-        time: float,
-        taus: Sequence[float],
-        generators: Sequence[np.ndarray] | None = None,
-    ) -> "CoordTau":
-        """Coordinate chart S = exp(i sum_l tau_l T_l) over generator components."""
+    def from_generators(cls, time: float, taus: Sequence[float]) -> "CoordTau":
+        """Coordinate chart S = exp(i sum_l tau_l T_l) over the d^2 - 1 Gell-Mann generators."""
         taus = np.asarray(taus, dtype=float)
-        if generators is None:
-            d = int(round(math.sqrt(len(taus) + 1)))
-            if d * d - 1 != len(taus):
-                raise ValueError(
-                    f"{len(taus)} components do not fill a d^2-1 generator set"
-                )
-            generators = gellmann_generators(d)
-        if len(taus) != len(generators):
-            raise ValueError("one component per generator required")
-        h = sum(t * g for t, g in zip(taus, generators))
+        d = int(round(math.sqrt(len(taus) + 1)))
+        if d * d - 1 != len(taus):
+            raise ValueError(f"{len(taus)} components do not fill a d^2-1 generator set")
+        h = sum(t * g for t, g in zip(taus, gellmann_generators(d)))
         return cls(time=time, basis=_expm_herm(*np.linalg.eigh(h), -1.0))
 
 
@@ -255,10 +245,8 @@ class OpenSpec:
         coups = tuple(c if isinstance(c, Coupling) else Coupling(*c) for c in self.couplings)
         CompositeSpec(self.system, self.environment, coups)  # checks the coupling shapes
         for c in coups:
-            for op in (c.op_a, c.op_b):
-                dev = np.abs(op - op.conj().T).max()
-                if dev > 1e-10 * max(1.0, np.abs(op).max()):
-                    raise ValueError(f"coupling operators must be Hermitian (off by {dev})")
+            _check_hermitian(c.op_a, "coupling operator on the system side")
+            _check_hermitian(c.op_b, "coupling operator on the environment side")
         object.__setattr__(self, "couplings", coups)
         if self.env_state.dim != self.environment.dim:
             raise ValueError("environment state dimension mismatch")
@@ -301,8 +289,9 @@ class Superoperator:
         ident = np.eye(self.dim, dtype=complex).flatten(order="F")
         return float(np.abs(self.matrix.conj().T @ ident - ident).max())
 
-    def is_trace_preserving(self, tol: float = 1e-8) -> bool:
-        return self.trace_preservation_error() <= tol
+    def is_trace_preserving(self) -> bool:
+        """The dual map fixes the identity within 1e-8."""
+        return self.trace_preservation_error() <= 1e-8
 
     def choi(self) -> np.ndarray:
         """Rearrangement whose positivity witnesses complete positivity."""
@@ -616,8 +605,7 @@ def piecewise_propagator(
         if end <= prev:
             raise ValueError("piece end times must be strictly increasing and positive")
         h = np.asarray(h, dtype=complex)
-        if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
-            raise ValueError("piecewise generators must be Hermitian")
+        _check_hermitian(h, "piecewise generator")
         cleaned.append((end, np.linalg.eigh(h)))
         prev = end
     if not cleaned:

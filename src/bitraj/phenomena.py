@@ -28,6 +28,7 @@ from .core import (
     propagator,
 )
 from .engine import ConsistencyError, Schedule, chain_probabilities, chain_probability
+from .serialize import csv_cell
 
 __all__ = [
     "InitSpec",
@@ -301,10 +302,11 @@ def uncertainty_matrix(
 
 
 def uncertainty_csv(dev_k: Device, dev_l: Device, matrix: np.ndarray) -> str:
-    """Tabulate an overlap matrix as k,l,value rows."""
+    """Tabulate an overlap matrix as k,l,value rows, labels as ``csv_cell`` fields."""
     lines = ["k,l,value"]
-    for i, k in enumerate(dev_k.outcomes):
-        for j, l in enumerate(dev_l.outcomes):
+    cells_l = [csv_cell(l) for l in dev_l.outcomes]
+    for i, k in enumerate(map(csv_cell, dev_k.outcomes)):
+        for j, l in enumerate(cells_l):
             lines.append(f"{k},{l},{matrix[i, j]:.17g}")
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "canonical_digest",
+    "csv_cell",
     "label_to_json",
     "label_from_json",
     "matrix_from_json",
@@ -54,6 +55,14 @@ def label_from_json(value) -> Any:
     if isinstance(value, list):
         return tuple(label_from_json(x) for x in value)
     return value
+
+
+def csv_cell(label) -> str:
+    """One CSV field holding a label's JSON text, quoted when it has a comma, quote or newline."""
+    text = str(label_to_json(label))
+    if any(c in text for c in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _round_floats(obj):

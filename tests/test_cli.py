@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitraj.cli import _CONFIG_SHAPES, VERBS, main
+from bitraj.cli import _CONFIG_SHAPES, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
 from bitraj.serialize import canonical_digest
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -751,6 +751,19 @@ PINNED_REJECTIONS = [
     ("zx", ("schema_version",), 2),
     ("zx", ("schema_version",), True),
     ("zx", ("command",), "frobnicate"),
+    # one tolerance per verb that the verb has no check for, and the classical
+    # threshold, which only ``params.threshold`` sets
+    ("table", ("tolerances", "normalization"), 1e-8),
+    ("zx", ("tolerances", "markov"), 1e-8),
+    ("coarse", ("tolerances", "hermitianity"), 1e-8),
+    ("compose", ("tolerances", "pairwise"), 1e-8),
+    ("markov", ("tolerances", "factorization"), 1e-8),
+    ("zeno", ("tolerances", "hermitianity"), 1e-8),
+    ("uncertainty", ("tolerances", "map_tp"), 1e-8),
+    ("map", ("tolerances", "uncertainty_stochastic"), 1e-8),
+    ("sample", ("tolerances", "normalization"), 1e-8),
+    ("classical", ("tolerances", "hermitianity"), 1e-8),
+    ("classical", ("tolerances", "classical_threshold"), 1e-8),
 ]
 
 
@@ -1033,18 +1046,57 @@ def test_lone_partner_key_exits_two(tmp_path, capsys, base, present, missing):
     assert repr(missing) in err
 
 
+@pytest.mark.parametrize(
+    "verb, key", [(verb, key) for verb, (_, _, keys) in _VERB_KEYS.items() for key in keys]
+)
+def test_each_tolerance_a_verb_takes_bounds_one_of_its_checks(tmp_path, verb, key):
+    assert key in DEFAULT_TOLERANCES
+    cfg = _mutated(PINNED_BASES[UNREAD[verb][0]], ("tolerances", key), 0.125)
+    if verb == "classical":
+        cfg["params"]["threshold"] = 1.0  # the ZX table passes as classical, so its check runs
+    code, report, _ = run(tmp_path, verb, cfg)
+    assert code in (0, 1)
+    assert 0.125 in [c["bound"] for c in report["checks"]]
+
+
+def test_every_tolerance_but_the_classical_threshold_is_taken():
+    taken = {key for _, _, keys in _VERB_KEYS.values() for key in keys}
+    assert taken == set(DEFAULT_TOLERANCES) - {"classical_threshold"}
+    assert sum(len(keys) for _, _, keys in _VERB_KEYS.values()) == 17
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_force_large_only_where_a_table_is_guarded(tmp_path, capsys, verb):
+    code, report, _ = run(tmp_path, verb, PINNED_BASES[UNREAD[verb][0]], "--force-large")
+    if verb in ("table", "verify", "classical"):
+        assert code == 0
+    else:
+        assert code == 2
+        assert report is None
+        assert capsys.readouterr().err == (
+            f"--force-large is read only by the table, verify and classical verbs, not by {verb}\n"
+        )
+
+
 def test_readme_lists_each_verbs_keys():
-    # README's per-verb table: verb, top-level blocks, params keys; "?" marks an optional key
+    # README's per-verb table: verb, top-level blocks, params keys, tolerances keys;
+    # "?" marks an optional key (every tolerances key is optional, so none carries it)
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| verb | top-level blocks | `params` keys |") + 2
+    start = lines.index("| verb | top-level blocks | `params` keys | `tolerances` keys |") + 2
     listed = {}
     for line in itertools.takewhile(lambda l: l.startswith("|"), lines[start:]):
-        verb, blocks, params = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
-        listed[verb[0]] = (set(blocks), set(params))
+        verb, blocks, params, tols = (
+            re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:5]
+        )
+        listed[verb[0]] = (set(blocks), set(params), set(tols))
     common = {"schema_version", "command", "params", "params?", "tolerances?"}
     shapes = {
-        verb: (set(shape) - common, set(shape.get("params", shape.get("params?"))))
+        verb: (
+            set(shape) - common,
+            set(shape.get("params", shape.get("params?"))),
+            {key.rstrip("?") for key in shape["tolerances?"]},
+        )
         for verb, shape in _CONFIG_SHAPES.items()
     }
     assert listed == shapes

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -294,6 +296,12 @@ def test_uncertainty_csv_layout():
     lines = uncertainty_csv(DEVZ, DEVX, c).splitlines()
     assert lines[0] == "k,l,value"
     assert len(lines) == 5
+    # a label holding a comma or a quote stays one field
+    odd = Device(name="Z", outcomes=("up,z", 'down"z'), projectors=(UP, DN))
+    rows = list(csv.reader(io.StringIO(uncertainty_csv(odd, DEVX, c))))
+    assert [len(row) for row in rows] == [3] * 5
+    assert [row[0] for row in rows[1:]] == ["up,z", "up,z", 'down"z', 'down"z']
+    assert [row[1] for row in rows[1:]] == ["+", "-", "+", "-"]
 
 
 # ---------------------------------------------------------------------------
