@@ -246,6 +246,8 @@ _VERB_KEYS = {
     "classical": (_FACTOR, {"threshold?": "a number"}, ("classical_consistency",)),
 }
 VERBS = tuple(_VERB_KEYS)
+#: The verbs whose table guard ``--force-large`` lifts.
+_FORCE_LARGE_VERBS = ("table", "verify", "classical")
 
 
 def _config_shape(verb: str, blocks: dict, params: dict, tolerances: tuple) -> dict:
@@ -966,7 +968,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.force_large and args.verb not in ("table", "verify", "classical"):
+        if args.force_large and args.verb not in _FORCE_LARGE_VERBS:
             raise CliError(
                 f"--force-large is read only by the table, verify and classical verbs, "
                 f"not by {args.verb}"
@@ -993,13 +995,16 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _COMMANDS[args.verb](ctx)
         except TableSizeError as exc:
+            hint = "raise BITRAJ_MAX_TABLE"
+            if args.verb in _FORCE_LARGE_VERBS:
+                hint += " or pass --force-large"
             raise CliError(
                 json.dumps(
                     {
                         "error": "table-size-guard",
                         "requested_entries": exc.requested,
                         "limit": exc.limit,
-                        "hint": "raise BITRAJ_MAX_TABLE or pass --force-large where supported",
+                        "hint": hint,
                     }
                 )
             ) from None

@@ -153,17 +153,15 @@ def co_interference(
     sched_b: Schedule,
     bi_a: BiSequence,
     bi_b: BiSequence,
-    couplings: Sequence[Coupling] = (),
 ) -> float:
     """Joint interference minus the product of subsystem interference parts.
 
     Computed from the joint system's bi-probability directly and cross-checked
     against minus the product of the subsystem imaginary parts, which is what
-    independence forces it to be.  Couplings are rejected: the decomposition
-    this quantity refers to presumes independent subsystems.
+    independence forces it to be.  The joint system is the uncoupled tandem of
+    the two: the decomposition this quantity refers to presumes independent
+    subsystems, so it takes no couplings.
     """
-    if couplings:
-        raise ValueError("co-interference is defined for independent subsystems only")
     joint_system, joint_sched = _tandem_schedule(spec_a, spec_b, sched_a, sched_b)
     joint_bi = BiSequence(
         tuple(zip(bi_a.plus, bi_b.plus)),

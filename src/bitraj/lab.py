@@ -13,18 +13,26 @@ blocks, so the counts depend only on the seed and the number of trials, not
 on how the trials are grouped or chunked.
 
 Trials are routed through a table of the outcome prefixes they reach.  Each
-prefix is a node built once per run, with one Born vector and, below the last
-readout, one collapsed density; the new nodes of a level are built together
-in one batched pass.  A chunk of trials moves through the table level by
-level as an array of node ids.  The table is emptied at the start of a chunk
-once it holds more than ``_CHUNK`` nodes, so it never holds more than
-``len(stacks) * _CHUNK`` nodes whatever the number of trials.
+prefix is a node built once while the schedule's table is cached, with one
+Born vector and, below the last readout, one collapsed density; the new nodes
+of a level are built together in one batched pass.  A chunk of trials moves
+through the table level by level as an array of node ids.  The table is
+emptied at the start of a chunk once it holds more than ``_CHUNK`` nodes, so
+it never holds more than ``len(stacks) * _CHUNK`` nodes whatever the number
+of trials.  A run that ends with at most ``_CHUNK`` nodes leaves its table in
+a memo keyed by the exact bytes of the initial density and the projector
+stacks, and the next run of the same inputs starts from it; the memo evicts
+its oldest tables to hold at most ``_CHUNK`` nodes in all.  A node's data
+come from the same arithmetic on the same parent density whichever run
+builds it, so the memo never changes the counts.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -188,6 +196,49 @@ def _flush(table: list[_Nodes], tally: np.ndarray, counts: dict) -> None:
         counts[seq] = counts.get(seq, 0) + c
 
 
+def _size(table: list[_Nodes]) -> int:
+    """Nodes of a table, over all its levels."""
+    return sum(len(lv.total) for lv in table)
+
+
+class _TableMemo:
+    """Node tables of finished runs, keyed by the exact bytes of their inputs.
+
+    A run takes its table out and gives it back when it ends, so no two runs
+    share a table.  The oldest tables are evicted once the memo holds more
+    than ``_CHUNK`` nodes in total.
+    """
+
+    def __init__(self):
+        self._tables: OrderedDict[tuple, list[_Nodes]] = OrderedDict()
+        self._nodes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def key(init_density: np.ndarray, stacks: Sequence[np.ndarray]) -> tuple:
+        return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (init_density, *stacks))
+
+    def take(self, key: tuple) -> list[_Nodes]:
+        with self._lock:
+            table = self._tables.pop(key, [])
+            self._nodes -= _size(table)
+        return table
+
+    def give(self, key: tuple, table: list[_Nodes]) -> None:
+        size = _size(table)
+        if size > _CHUNK:
+            return
+        with self._lock:
+            self._nodes -= _size(self._tables.pop(key, []))
+            self._tables[key] = table
+            self._nodes += size
+            while self._nodes > _CHUNK:
+                self._nodes -= _size(self._tables.popitem(last=False)[1])
+
+
+_TABLES = _TableMemo()
+
+
 def _run_trials(
     init_density: np.ndarray, stacks: Sequence[np.ndarray], seed: int, n_samples: int
 ) -> dict[tuple[int, ...], int]:
@@ -197,16 +248,18 @@ def _run_trials(
     stream, made into doubles as ``Generator.random`` does.  A trial's slot
     is ``searchsorted(cum, x, "right")`` clamped to ``m - 1``, counted as the
     first ``m - 1`` cumulative weights ``<= x``; last-level rows are tallied
-    by ``bincount`` per table.
+    by ``bincount`` per table.  The run starts from the table an earlier run
+    of the same inputs left in ``_TABLES`` and leaves its own there.
     """
     blocks_per_trial = max(1, math.ceil(len(stacks) / 4))
     last = len(stacks) - 1
     stream = Philox(key=seed)
     counts: dict[tuple[int, ...], int] = {}
-    table: list[_Nodes] = []
+    inputs = _TABLES.key(init_density, stacks)
+    table = _TABLES.take(inputs)
     tally = np.zeros(0, dtype=np.intp)
     for start in range(0, n_samples, _CHUNK):
-        if not table or sum(len(lv.total) for lv in table) > _CHUNK:
+        if not table or _size(table) > _CHUNK:
             _flush(table, tally, counts)
             table = [_Nodes(projs, j == last) for j, projs in enumerate(stacks)]
             table[0].add(np.full(1, -1), [init_density])
@@ -235,6 +288,7 @@ def _run_trials(
         new[: len(tally)] += tally
         tally = new
     _flush(table, tally, counts)
+    _TABLES.give(inputs, table)
     return counts
 
 
@@ -257,7 +311,11 @@ def sample_sequences(
     Every trial consumes its own fixed range of counter blocks, so the result
     depends only on ``seed``, an integer in [0, 2**64), and ``n_samples``, an
     integer >= 1.  ``workers`` must be at least 1; it changes neither the
-    counts nor the work, since all trials run in one vectorised pass.
+    counts nor the work, since all trials run in one vectorised pass.  Each
+    reached outcome prefix is built once while the schedule's table is
+    cached: runs of the same initial density and Heisenberg projectors share
+    one memo of at most ``_CHUNK`` nodes in all, which never changes the
+    counts.
     """
     if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
@@ -269,11 +327,10 @@ def sample_sequences(
         for t, dev in zip(schedule.times, schedule.devices)
     ]
     merged = _run_trials(schedule.init.density, stacks, seed, n_samples)
-    devices = schedule.devices
-    counts = {
-        tuple(devices[j].outcomes[o] for j, o in enumerate(key)): c
-        for key, c in merged.items()
-    }
+    labels = [
+        map(dev.outcomes.__getitem__, column) for dev, column in zip(schedule.devices, zip(*merged))
+    ]
+    counts = dict(zip(zip(*labels), merged.values()))
     return SampleRun(
         schedule_digest=schedule.digest, seed=int(seed), n_samples=int(n_samples), counts=counts
     )

@@ -1078,6 +1078,25 @@ def test_force_large_only_where_a_table_is_guarded(tmp_path, capsys, verb):
         )
 
 
+@pytest.mark.parametrize("verb", [v for v in VERBS if v not in ("zeno", "uncertainty")])
+def test_guard_hint_names_force_large_only_where_it_lifts_the_guard(
+    tmp_path, capsys, monkeypatch, verb
+):
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "1")
+    cfg = PINNED_BASES[UNREAD[verb][0]]
+    code, report, _ = run(tmp_path, verb, cfg)
+    assert code == 2
+    assert report is None
+    guard = json.loads(capsys.readouterr().err)
+    assert guard["error"] == "table-size-guard"
+    assert guard["limit"] == 1
+    if verb in ("table", "verify", "classical"):
+        assert guard["hint"] == "raise BITRAJ_MAX_TABLE or pass --force-large"
+        assert run(tmp_path, verb, cfg, "--force-large")[0] == 0
+    else:
+        assert guard["hint"] == "raise BITRAJ_MAX_TABLE"
+
+
 def test_readme_lists_each_verbs_keys():
     # README's per-verb table: verb, top-level blocks, params keys, tolerances keys;
     # "?" marks an optional key (every tolerances key is optional, so none carries it)

@@ -139,7 +139,8 @@ def test_co_interference_is_minus_sixteenth():
 
 
 def test_co_interference_rejects_couplings():
-    with pytest.raises(ValueError, match="independent"):
+    # independent subsystems only: there is no parameter to pass couplings through
+    with pytest.raises(TypeError, match="couplings"):
         co_interference(
             XY_SYSTEM,
             XY_SYSTEM,

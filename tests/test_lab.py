@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,12 @@ DEVZ = Device(name="Z", outcomes=("u", "d"), projectors=(UP, DN))
 DEVX = Device(name="X", outcomes=("+", "-"), projectors=(PX, np.eye(2) - PX))
 QUBIT_FREE = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
 UP_STATE = State(UP, time_tag=0.0)
+
+
+@pytest.fixture(autouse=True)
+def cold_node_tables(monkeypatch):
+    """Give every test an empty node-table memo of its own."""
+    monkeypatch.setattr(lab, "_TABLES", lab._TableMemo())
 
 
 def test_deterministic_outcome_sampling():
@@ -602,3 +610,141 @@ def test_one_stream_per_run_gives_the_per_chunk_draws(monkeypatch, chunk, entrie
         size = min(chunk, n - start) * 4 * blocks
         expected = Generator(Philox(key=np.uint64(seed), counter=counter)).random(size)
         assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, expected)
+
+
+# ---------------------------------------------------------------------------
+# the node-table memo: runs of the same inputs share one table
+
+
+def _memo_nodes():
+    """Nodes the memo holds, recounted from its tables."""
+    return sum(lab._size(table) for table in lab._TABLES._tables.values())
+
+
+def test_warm_run_builds_no_nodes(monkeypatch):
+    sample_sequences(QUTRIT, FIVE_QUTRIT, 3 * lab._CHUNK, seed=41)
+    assert lab._TABLES._nodes == _memo_nodes() == 1 + 3 + 9 + 27 + 81  # every prefix
+    borns = _counting(monkeypatch, "_born")
+    collapses = _counting(monkeypatch, "_collapse")
+    run = sample_sequences(QUTRIT, FIVE_QUTRIT, 500, seed=43)
+    assert len(borns) == len(collapses) == 0
+    assert run.counts == oracle_counts(QUTRIT, FIVE_QUTRIT, 500, 43)
+
+
+SHIFTED_TIME = Schedule(entries=((0.3, DEVF3), (0.6, DEVZ3), (0.85, DEVF3)), init=RHO3)
+MISSES = {
+    "hamiltonian": (
+        SystemSpec(dim=3, hamiltonian=QUTRIT.hamiltonian + 0.1 * np.eye(3)[::-1]),
+        FIVE_QUTRIT.entries[:3],
+        RHO3,
+    ),
+    "time": (QUTRIT, SHIFTED_TIME.entries, RHO3),
+    "projector": (QUTRIT, ((0.3, DEVF3), (0.6, DEVF3), (0.8, DEVF3)), RHO3),
+    "initial-density": (QUTRIT, FIVE_QUTRIT.entries[:3], State(np.diag([0.2, 0.3, 0.5]))),
+}
+
+
+@pytest.mark.parametrize("change", sorted(MISSES))
+def test_changed_inputs_miss_the_memo(monkeypatch, change):
+    base = Schedule(entries=FIVE_QUTRIT.entries[:3], init=RHO3)
+    sample_sequences(QUTRIT, base, 300, seed=47)
+    system, entries, init = MISSES[change]
+    sched = Schedule(entries=entries, init=init)
+    borns = _counting(monkeypatch, "_born")
+    run = sample_sequences(system, sched, 300, seed=53)
+    prefixes = {seq[:k] for seq in run.counts for k in range(len(seq))}
+    assert len(borns) == len(prefixes)  # built from scratch
+    assert run.counts == oracle_counts(system, sched, 300, 53)
+
+
+def test_relabelled_device_hits_and_reads_its_own_labels(monkeypatch):
+    # the memo is keyed by projectors, not labels, so new labels reuse the table
+    sample_sequences(QUTRIT, PINNED_RUNS["qutrit_plain"][1], 400, seed=19)
+    named = Device(name="Z3", outcomes=("a", "b", "c"), projectors=DEVZ3.projectors)
+    sched = Schedule(entries=((0.4, named), (0.9, DEVF3)), init=RHO3)
+    borns = _counting(monkeypatch, "_born")
+    run = sample_sequences(QUTRIT, sched, 400, seed=19)
+    assert not borns
+    rename = dict(zip(DEVZ3.outcomes, named.outcomes))
+    expected = PINNED_RUNS["qutrit_plain"][3]
+    assert run.counts == {(rename[a], b): c for (a, b), c in expected.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_memo_holds_at_most_one_chunk_of_nodes(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(lab, "_CHUNK", chunk)
+    schedules = [(system, sched) for system, sched, _, _ in PINNED_RUNS.values()]
+    schedules.append((QUBIT_FREE, Schedule(entries=((1.0, DEVX),), init=UP_STATE)))
+    if chunk is None:  # enough distinct five-entry tables to overfill the memo
+        schedules += [
+            (QUTRIT, Schedule(entries=((0.3 + 0.005 * k, DEVF3),) + FIVE_QUTRIT.entries[1:], init=RHO3))
+            for k in range(50)
+        ]
+    peak = 0
+    for k, (system, sched) in enumerate(schedules):
+        sample_sequences(system, sched, 200, seed=k)
+        assert lab._TABLES._nodes == _memo_nodes() <= lab._CHUNK
+        peak = max(peak, lab._TABLES._nodes)
+    assert peak > lab._CHUNK // 2  # the bound was reached, so eviction ran
+
+
+def test_table_over_one_chunk_is_not_kept(monkeypatch):
+    # a table left with more than _CHUNK nodes goes neither in nor evicts others
+    monkeypatch.setattr(lab, "_CHUNK", 7)
+    system, small, seed, expected = PINNED_RUNS["qubit_plain"]
+    sample_sequences(system, small, 400, seed=seed)
+    kept = dict(lab._TABLES._tables)
+    assert lab._TABLES._nodes == 7
+    # 57 full chunks: the last one reaches more than 7 five-entry prefixes
+    sample_sequences(QUTRIT, FIVE_QUTRIT, 57 * 7, seed=59)
+    assert lab._TABLES._tables == kept and lab._TABLES._nodes == _memo_nodes() == 7
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize(
+    "init, second",
+    [(np.diag([0.5, 0.5, 0.0]), [P3[2]]), (np.diag([0.97, 0.03, 0.0]), [P3[0], P3[2]])],
+    ids=["every-branch", "rare-branch"],
+)
+def test_vanished_branch_caches_nothing(monkeypatch, chunk, init, second):
+    if chunk is not None:
+        monkeypatch.setattr(lab, "_CHUNK", chunk)
+    init, stacks = init.astype(complex), [np.stack(P3[:2]), np.stack(second)]
+    if len(second) == 2:
+        # eight trials at seed 0 miss the rare branch, so their two-node table
+        # is cached first wherever a chunk holds two nodes
+        assert lab._run_trials(init, stacks, seed=0, n_samples=8) == {(0, 0): 8}
+        assert lab._TABLES._nodes == (2 if lab._CHUNK >= 2 else 0)
+    with pytest.raises(RuntimeError, match="vanished"):
+        lab._run_trials(init, stacks, seed=31, n_samples=400)
+    assert lab._TABLES._nodes == _memo_nodes() == 0
+
+
+def test_threads_sampling_one_schedule_get_oracle_counts():
+    # more threads than cores and a short switch interval, so takes and gives
+    # interleave; a lost update would leave the node count off its recount
+    seeds, threads_n = (61, 62, 63), 4
+    results = [[] for _ in range(threads_n)]
+    start = threading.Barrier(threads_n)
+
+    def work(k):
+        start.wait()
+        for _ in range(3):
+            for seed in seeds:
+                results[k].append(sample_sequences(QUTRIT, FIVE_QUTRIT, 150, seed=seed).counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = [oracle_counts(QUTRIT, FIVE_QUTRIT, 150, s) for s in seeds]
+    assert results == [expected * 3] * threads_n
+    assert lab._TABLES._nodes == _memo_nodes() <= lab._CHUNK
