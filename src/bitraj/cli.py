@@ -48,6 +48,7 @@ from .engine import (
     ConsistencyError,
     Schedule,
     TableSizeError,
+    _abs_sum,
     _max_hermitianity,
     biprob_table,
     chain_probabilities,
@@ -575,7 +576,7 @@ def _cmd_table(ctx: _Context) -> None:
     ctx.results.update(
         {
             "n_sequences": table.n_sequences,
-            "l1_norm": float(np.abs(m).sum()),
+            "l1_norm": _abs_sum(m),
             "normalization_error": abs(complex(m.sum()) - 1.0),
             "schedule_digest": table.schedule_digest,
             "table_digest": table.digest,

@@ -216,13 +216,20 @@ def validate_device(device: Device) -> None:
                 )
 
 
-def _eigen_groups(w: np.ndarray) -> list[list[int]]:
+def _eigen_groups(w: np.ndarray, scale: float | None = None) -> list[list[int]]:
     """Runs of ascending eigenvalues whose neighbours lie within ``tol``.
 
-    ``tol`` is ``DEGENERACY_RTOL`` times the spectral range (at least 1);
-    consecutive gaps chain, so a group may span more than ``tol``.
+    ``tol`` is ``DEGENERACY_RTOL`` times the spectral range, but at least
+    ``2**10 * eps * scale`` with ``scale`` the largest ``|w|`` by default:
+    ``eigh`` spreads a true repeat by about ``15 * eps * max|w|``, so that
+    floor merges repeats at any scale while a matrix times ``c`` splits into
+    the same groups for every ``c > 0``.  Consecutive gaps chain, so a group
+    may span more than ``tol``.  A caller whose ``w`` is a restriction of a
+    larger matrix passes that matrix's norm as ``scale``.
     """
-    tol = DEGENERACY_RTOL * max(float(w[-1] - w[0]), 1.0)
+    if scale is None:
+        scale = float(np.abs(w).max())
+    tol = max(DEGENERACY_RTOL * float(w[-1] - w[0]), 2**10 * np.finfo(float).eps * scale)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] <= tol:
@@ -235,10 +242,13 @@ def _eigen_groups(w: np.ndarray) -> list[list[int]]:
 def device_from_hermitian(observable, name: str) -> Device:
     """Spectral device of a Hermitian matrix.
 
-    Eigenvalues closer than 1e-9 times the spectral range (at least 1) are
-    merged into a single outcome whose projector spans the near-degenerate
-    eigenspace; the label is the mean of the merged eigenvalues.  For a
-    perfectly fine-grained result the eigenbasis is attached.
+    Eigenvalues closer than 1e-9 times the spectral range, or than the
+    round-off ``eigh`` leaves at the observable's scale (``_eigen_groups``),
+    are merged into a single outcome whose projector spans the
+    near-degenerate eigenspace; the label is the mean of the merged
+    eigenvalues.  Both thresholds scale with the observable, so its overall
+    scale does not decide the grouping.  For a perfectly fine-grained result
+    the eigenbasis is attached.
     """
     obs = _as_complex_matrix(observable, "observable")
     _check_hermitian(obs, "observable")

@@ -15,9 +15,11 @@ positive semi-definiteness manifest and keeps the cost linear in the number of
 sequences.  ``property_report`` checks positivity through the same factor: its
 ``min_gram_eigenvalue`` is the certified lower bound
 ``lambda_min(W W^H) - ||Q - W W^H||_F`` from a d^2 x d^2 eigensolve, and its
-other witnesses are maxima and sums with ``|Q|`` as the only N x N temporary.
-Bi-consistency compares each blocked, fixed-order ``marginalize_pair`` with a
-fresh shorter table, diffed in place and reduced one row block at a time.
+other witnesses are maxima and sums streamed through reused buffers of at
+most one block, so no temporary is the size of the table; the mass ``sum |Q|``
+follows NumPy's pairwise tree and keeps its bits.  Bi-consistency compares
+each blocked, fixed-order ``marginalize_pair`` with a fresh shorter table,
+diffed in place and reduced one row block at a time.
 """
 
 from __future__ import annotations
@@ -400,7 +402,8 @@ def _table_leaves(system: SystemSpec, schedule: Schedule) -> np.ndarray:
 
 
 #: Bytes of one block of table rows that ``marginalize_pair`` and
-#: ``property_report`` hold at a time.
+#: ``property_report`` hold at a time; the report's other scratch buffers
+#: cover an eighth of a block's entries (``_leaf_len``).
 _BLOCK_BYTES = 1 << 22
 
 
@@ -511,9 +514,10 @@ def property_report(table: BiProbTable) -> PropertyReport:
     ``lambda_min(herm Q) >= lambda_min(W W^H) - ||Q - W W^H||_F``.  The first
     term comes from ``W W^H`` when N <= d^2 and otherwise is
     ``min(0, lambda_min(W^H W))`` (the nonzero spectra agree).  The residual
-    is accumulated over row blocks of ``Q`` and the hermitianity witness comes
-    from ``_max_hermitianity``, so the only N x N temporary is ``|Q|``, which
-    the mass and the causality witness share.
+    is accumulated over row blocks of ``Q`` in one reused block buffer, the
+    mass and the causality witness share the leaf buffer of ``_abs_sum`` and
+    the hermitianity witness comes from ``_max_hermitianity``'s tiles, so no
+    temporary is the size of the table and at most one block buffer is alive.
     """
     m = table.matrix
     normalization_error = abs(complex(m.sum()) - 1.0)
@@ -525,13 +529,19 @@ def property_report(table: BiProbTable) -> PropertyReport:
 
     total = table.n_sequences
     last_r = table.radices[-1]
-    mag = np.abs(m)
-    l1 = float(mag.sum())
-    # entries whose plus and minus sequences end in different outcomes
-    shaped = mag.reshape(-1, last_r, total // last_r, last_r)
-    off_last = [shaped[:, i, :, j].max() for i in range(last_r) for j in range(last_r) if i != j]
+    off_last = []
+
+    def causality(start: int, mags: np.ndarray) -> None:
+        # zero the entries whose plus and minus sequences end in the same
+        # outcome: flat index k = p * N + c with c = p (mod r), as r divides N
+        for p in range(start // total, (start + mags.size - 1) // total + 1):
+            lo = max(p * total, start)
+            hi = min(p * total + total, start + mags.size)
+            mags[lo - start + (p - lo) % last_r:hi - start:last_r] = 0.0
+        off_last.append(mags.max())
+
+    l1 = _abs_sum(m, causality)
     max_causality = float(np.max([0.0] + off_last))
-    del mag, shaped
 
     flat = _table_leaves(table.system, table.schedule)
     flat_h = flat.conj().T
@@ -541,11 +551,15 @@ def property_report(table: BiProbTable) -> PropertyReport:
         spectrum = min(0.0, float(np.linalg.eigvalsh(flat_h @ flat).min()))
 
     rows = max(1, _BLOCK_BYTES // m[0].nbytes)
+    block = np.empty(min(rows, total) * total, dtype=flat.dtype)
     residual_sq = 0.0
     for start in range(0, total, rows):
-        resid = flat[start:start + rows] @ flat_h
-        resid -= m[start:start + rows]
+        stop = min(start + rows, total)
+        resid = block[: (stop - start) * total].reshape(-1, total)
+        np.matmul(flat[start:stop], flat_h, out=resid)
+        resid -= m[start:stop]
         residual_sq += float(np.vdot(resid, resid).real)
+    del block, resid  # free the block before the hermitianity tiles
     min_gram = spectrum - math.sqrt(residual_sq)
 
     diag = m.diagonal()
@@ -562,28 +576,84 @@ def property_report(table: BiProbTable) -> PropertyReport:
     )
 
 
+def _leaf_len(m: np.ndarray) -> int:
+    """Entries of ``m`` one scratch buffer covers: an eighth of a block's worth, at least 128."""
+    return max(128, _BLOCK_BYTES // (8 * m.itemsize))
+
+
+def _abs_sum(m: np.ndarray, visit: Callable[[int, np.ndarray], None] | None = None) -> float:
+    """``np.abs(m).sum()`` of a C-contiguous ``m``, bit for bit, without an array of its size.
+
+    NumPy sums a contiguous float64 array pairwise: up to 128 elements in one
+    unrolled loop, otherwise the two halves split at ``n // 2`` rounded down to
+    a multiple of 8, recursively (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 4.2).  The walk follows that tree over the flat ``m``
+    down to ranges of at most ``_leaf_len(m)`` elements; NumPy sums each
+    range's magnitudes, held in one reused float buffer, by the same subtree,
+    and the walk adds the range sums in tree order.  ``visit(start,
+    mags)`` then sees the magnitudes of the flat range from ``start`` and may
+    overwrite them.
+    """
+    flat = m.reshape(-1)
+    buf = np.empty(min(flat.size, _leaf_len(m)))
+    return float(_pairwise_abs_sum(flat, 0, flat.size, buf, visit))
+
+
+def _pairwise_abs_sum(
+    flat: np.ndarray,
+    start: int,
+    n: int,
+    buf: np.ndarray,
+    visit: Callable[[int, np.ndarray], None] | None,
+) -> float:
+    """The node of ``_abs_sum``'s tree over ``flat[start:start + n]``.
+
+    A module-level function rather than a closure: a nested function that
+    calls itself is a reference cycle, which would keep the table alive until
+    the cycle collector runs.
+    """
+    if n <= buf.size:
+        mags = np.abs(flat[start:start + n], out=buf[:n])
+        total = mags.sum()
+        if visit is not None:
+            visit(start, mags)
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_abs_sum(flat, start, half, buf, visit) + _pairwise_abs_sum(
+        flat, start + half, n - half, buf, visit
+    )
+
+
 def _max_hermitianity(m: np.ndarray) -> float:
     """``np.abs(m - m.conj().T).max()`` without an N x N temporary.
 
-    ``|Q[a, b] - conj Q[b, a]|`` is symmetric in (a, b) exactly, so each row
-    block only needs the columns from its first row on; a block holds at most
-    ``_BLOCK_BYTES`` and an eighth of the rows.
+    ``|Q[a, b] - conj Q[b, a]|`` is symmetric in (a, b) exactly, so only the
+    square tiles on and above the diagonal are formed, each in one reused
+    complex tile and one float tile of ``_leaf_len(m)`` entries or less.
     """
     total = m.shape[0]
-    rows = max(1, min(_BLOCK_BYTES // m[0].nbytes, total // 8))
+    side = min(total, math.isqrt(_leaf_len(m)))
+    diff_buf = np.empty(side * side, dtype=m.dtype)
+    mags_buf = np.empty(side * side)
     worst = []
-    for start in range(0, total, rows):
-        diff = np.conj(m[start:, start:start + rows].T)
-        np.subtract(m[start:start + rows, start:], diff, out=diff)
-        worst.append(np.abs(diff).max())
+    for a0 in range(0, total, side):
+        a1 = min(a0 + side, total)
+        for b0 in range(a0, total, side):
+            b1 = min(b0 + side, total)
+            size = (a1 - a0) * (b1 - b0)
+            diff = diff_buf[:size].reshape(a1 - a0, b1 - b0)
+            np.conjugate(m[b0:b1, a0:a1].T, out=diff)
+            np.subtract(m[a0:a1, b0:b1], diff, out=diff)
+            worst.append(np.abs(diff, out=mags_buf[:size].reshape(diff.shape)).max())
     return float(np.max(worst))
 
 
 def _max_biconsistency(table: BiProbTable) -> float:
     """Largest ``|marginal - fresh shorter table|`` over every position, streamed."""
-    total = table.n_sequences
-    # float magnitudes of one row block (at least one row) of any marginal
-    mags_buf = np.empty(min(total * total, max(total, _BLOCK_BYTES // table.matrix.itemsize)))
+    widest = table.n_sequences // min(table.radices)
+    # float magnitudes of one leaf (at least one row) of any marginal
+    mags_buf = np.empty(min(widest * widest, max(widest, _leaf_len(table.matrix))))
     worst = 0.0
     for pos in range(len(table.schedule)):
         diff = marginalize_pair(table, pos).matrix
@@ -665,7 +735,7 @@ def uniform_bound_check(
         times = [(j + 1) * total_time / n for j in range(n)]
         entries = tuple((t, device) for t in times)
         table = biprob_table(system, Schedule(entries=entries, init=init))
-        l1 = float(np.abs(table.matrix).sum())
+        l1 = _abs_sum(table.matrix)
         if l1 > bound * (1 + 1e-12):
             raise ValueError(
                 f"computed mass {l1} at grid n={n} exceeds the analytic bound {bound}"

@@ -31,7 +31,15 @@ from .core import (
     device_from_hermitian,
     propagator,
 )
-from .engine import BiProbTable, ConsistencyError, Schedule, _guard, _leaves, biprob_table
+from .engine import (
+    BiProbTable,
+    ConsistencyError,
+    Schedule,
+    _abs_sum,
+    _guard,
+    _leaves,
+    biprob_table,
+)
 from .serialize import matrix_to_json
 
 __all__ = [
@@ -357,12 +365,13 @@ def _env_blocks(spec: OpenSpec) -> list[tuple[tuple[float, ...], np.ndarray]]:
     blocks: list[list[int]] = [list(range(d))]
     for f in ops:
         refined: list[list[int]] = []
+        scale = float(np.linalg.norm(f, 2))  # a block's round-off is f's, not its own
         for blk in blocks:
             cols = basis[:, blk]
             sub = cols.conj().T @ f @ cols
             w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
             basis[:, blk] = cols @ v
-            refined.extend([blk[i] for i in g] for g in _eigen_groups(w))
+            refined.extend([blk[i] for i in g] for g in _eigen_groups(w, scale))
         blocks = refined
     out = []
     for blk in blocks:
@@ -559,7 +568,7 @@ def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> Classic
     violate away from the classical limit.
     """
     m = table.matrix
-    mass = 0.5 * float((np.abs(m).sum() - np.abs(m.diagonal()).sum()))
+    mass = 0.5 * float(_abs_sum(m) - np.abs(m.diagonal()).sum())
     if mass > threshold:
         return ClassicalDiagnostic(
             offdiag_mass=mass,

@@ -9,9 +9,12 @@ its verdict.
 Every Hypothesis test runs under one profile: reproducible examples
 (``derandomize``), no example database and no per-example deadline; a test's
 own ``@settings`` only sets its example count.
+
+``extra_peak`` is the one tracemalloc probe of the memory tests.
 """
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -27,6 +30,17 @@ _CALL_STARTED = [0.0]
 def pytest_runtest_call(item):
     _CALL_STARTED[0] = time.perf_counter()
     yield
+
+
+def extra_peak(fn) -> int:
+    """Bytes that ``fn()`` held at its peak on top of what was allocated before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def record_verdict(name: str, ok: bool, detail: str = "") -> None:

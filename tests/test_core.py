@@ -71,6 +71,33 @@ def test_device_from_hermitian_degenerate():
     assert abs(np.trace(p2).real - 2.0) < 1e-12
 
 
+def conjugated(spectrum, seed):
+    """A Hermitian matrix with ``spectrum`` in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    d = len(spectrum)
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
+
+
+@pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 13, 2))
+def test_device_from_hermitian_grouping_ignores_the_scale(c):
+    def levels(obs):
+        return device_from_hermitian(obs, name="S").n_outcomes
+
+    assert levels(c * np.diag([0.0, 1e-10])) == 2
+    for seed in range(5):
+        # eigh returns the repeats of a rotated spectrum apart in the last bits
+        assert levels(conjugated(c * np.ones(4), seed)) == 1
+        assert levels(conjugated(c * np.array([1.0, 1.0, 2.0, 2.0]), seed)) == 2
+
+
+def test_device_from_hermitian_splits_a_small_gap():
+    # below a range of 1 the old merge tolerance was an absolute 1e-9
+    assert device_from_hermitian(np.diag([0.0, 1e-10]), name="S").n_outcomes == 2
+    # far from zero the gap is still resolved: 1e-4 against a round-off of 2e-7
+    assert device_from_hermitian(np.diag([1e6, 1e6 + 1e-4]), name="S").n_outcomes == 2
+
+
 # the constructor runs validate_device itself, so bad devices never exist
 
 def test_device_rejects_nonprojector():

@@ -1,7 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bitraj import (
 )
 from bitraj import engine
 from bitraj.cli import DEFAULT_TOLERANCES, _check
+from conftest import extra_peak
 from bitraj.engine import (
     PropertyReport,
     chain_probabilities,
@@ -431,6 +433,44 @@ def test_property_report_matches_the_dense_reference(case):
     assert gram >= -1e-12
 
 
+def leaf_bytes(leaf, m):
+    """The ``_BLOCK_BYTES`` at which ``engine._leaf_len(m)`` is ``leaf``."""
+    return leaf * 8 * m.itemsize
+
+
+@settings(max_examples=40)
+@given(report_cases())
+def test_streamed_mass_equals_the_dense_sum(case):
+    m = biprob_table(*case).matrix
+    for leaf in (128, 1000, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if leaf is not None:
+                mp.setattr(engine, "_BLOCK_BYTES", leaf_bytes(leaf, m))
+            assert engine._abs_sum(m) == np.abs(m).sum()
+
+
+def test_streamed_mass_equals_the_dense_sum_on_a_large_table():
+    # 2187^2 entries span many default leaves; summing row blocks one after
+    # another instead differs from the pairwise sum in the last bit
+    m = biprob_table(*random_config(303, dim=3, n=7)).matrix
+    assert m.size > 100 * engine._leaf_len(m)
+    assert engine._abs_sum(m) == np.abs(m).sum()
+
+
+@settings(max_examples=30)
+@given(report_cases(), st.sampled_from([128, 1000]))
+def test_property_report_matches_the_dense_reference_in_small_leaves(case, leaf):
+    # leaves that split rows exercise the causality mask across row ends;
+    # the Gram residual's bits follow its row blocks, so it is left out
+    table = biprob_table(*case)
+    want = dense_report(table).as_dict()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK_BYTES", leaf_bytes(leaf, table.matrix))
+        got = property_report(table).as_dict()
+    assert got.pop("min_gram_eigenvalue") <= want.pop("min_gram_eigenvalue") + 1e-15
+    assert got == want
+
+
 @st.composite
 def degenerate_cases(draw):
     """Random tables over spectral devices of observables with repeated eigenvalues.
@@ -522,14 +562,8 @@ def test_property_report_memory_stays_near_one_table():
     system, sched = random_config(300, dim=2, n=11)
     table = biprob_table(system, sched)
     assert table.n_sequences == 2048
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        property_report(table)
-        extra = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert extra < 1.5 * table.matrix.nbytes
+    ratio = extra_peak(lambda: property_report(table)) / table.matrix.nbytes
+    assert ratio < 1.5, f"extra peak {ratio:.3f}x the table"
 
 
 def test_property_report_makes_no_table_sized_eigensolve(monkeypatch):
@@ -552,31 +586,58 @@ def test_property_report_makes_no_table_sized_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("dim, n", [(2, 11), (3, 7)])
 def test_property_report_keeps_one_marginal_alive(dim, n):
-    # the peak is |Q| (0.5x) or one marginal/fresh pair plus a block of
-    # scratch; a second live pair or a whole-marginal diff temporary breaks 0.6x
+    # the peak is one marginal/fresh pair (0.5x on a qubit, 0.23x on a qutrit)
+    # plus a leaf of scratch; a second live pair or a whole-marginal diff
+    # temporary breaks 0.6x
     table = biprob_table(*random_config(300 + dim, dim=dim, n=n))
     assert table.n_sequences == dim**n
-    tracemalloc.start()
+    ratio = extra_peak(lambda: property_report(table)) / table.matrix.nbytes
+    assert ratio < 0.6, f"extra peak {ratio:.3f}x the table"
+
+
+def test_property_report_keeps_no_table_sized_temporary(monkeypatch):
+    # without bi-consistency the peak is one block of the Gram residual
+    # (0.05x here); an N x N float copy such as |Q| alone is 0.5x
+    table = biprob_table(*random_config(303, dim=3, n=7))
+    monkeypatch.setattr(engine, "_max_biconsistency", lambda table: 0.0)
+    ratio = extra_peak(lambda: property_report(table)) / table.matrix.nbytes
+    assert ratio < 0.2, f"extra peak {ratio:.3f}x the table"
+
+
+def test_property_report_holds_one_block_buffer_at_a_time():
+    # a ququart block is a quarter of the table, so two block buffers alive
+    # at once, or |Q| next to one, reach 0.5x
+    table = biprob_table(*random_config(304, dim=4, n=5))
+    assert table.n_sequences == 1024
+    ratio = extra_peak(lambda: property_report(table)) / table.matrix.nbytes
+    assert ratio < 0.5, f"extra peak {ratio:.3f}x the table"
+
+
+def test_property_report_lets_the_table_go_without_the_cycle_collector():
+    # a reference cycle through the report's helpers would keep each table
+    # alive until a collection, so a loop of reports would grow without bound
+    table = biprob_table(*random_config(302, dim=2, n=6))
+    gc.disable()
     try:
-        before = tracemalloc.get_traced_memory()[0]
         property_report(table)
-        extra = tracemalloc.get_traced_memory()[1] - before
+        probe = weakref.ref(table.matrix)
+        del table
+        assert probe() is None
     finally:
-        tracemalloc.stop()
-    assert extra < 0.6 * table.matrix.nbytes
+        gc.enable()
 
 
 def test_hermitianity_witness_memory_stays_below_half_a_table():
     table = biprob_table(*random_config(309, dim=2, n=9))
     assert table.n_sequences == 512
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        engine._max_hermitianity(table.matrix)
-        extra = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert extra < 0.5 * table.matrix.nbytes
+    ratio = extra_peak(lambda: engine._max_hermitianity(table.matrix)) / table.matrix.nbytes
+    assert ratio < 0.5, f"extra peak {ratio:.3f}x the table"
+
+
+def test_hermitianity_witness_works_in_small_tiles():
+    table = biprob_table(*random_config(302, dim=2, n=11))
+    ratio = extra_peak(lambda: engine._max_hermitianity(table.matrix)) / table.matrix.nbytes
+    assert ratio < 0.03, f"extra peak {ratio:.4f}x the table"
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])

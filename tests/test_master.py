@@ -23,7 +23,7 @@ from bitraj import (
     system_biprob,
     two_time_commutator,
 )
-from bitraj.master import CommutatorMoment, piecewise_propagator
+from bitraj.master import CommutatorMoment, _env_blocks, piecewise_propagator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -263,6 +263,22 @@ def test_enumeration_matches_transfer_at_any_sign_of_time(slices, t):
     enum = dynamical_map_bitraj(spec, t, slices, via_enumeration=True)
     transfer = dynamical_map_bitraj(spec, t, slices)
     assert np.abs(enum.matrix - transfer.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1.0, 0.5, 1e-3])
+def test_env_blocks_keep_a_zero_eigenspace_whole(factor):
+    # on the kernel of p the second coupling restricts to round-off; it must
+    # not split that block, whose own spectrum is nothing but that round-off
+    rng = np.random.default_rng(77)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    p = (q * np.array([1.0, 1.0, 0.0, 0.0])) @ q.conj().T
+    spec = OpenSpec(
+        system=SystemSpec(dim=2, hamiltonian=0.5 * SX),
+        environment=SystemSpec(dim=4, hamiltonian=np.zeros((4, 4))),
+        couplings=(Coupling(op_a=SZ, op_b=p), Coupling(op_a=SX, op_b=factor * p)),
+        env_state=State(np.eye(4) / 4),
+    )
+    assert [np.trace(proj).real.round(12) for _, proj in _env_blocks(spec)] == [2.0, 2.0]
 
 
 def test_noncommuting_env_couplings_rejected():
