@@ -42,7 +42,7 @@ from .composite import (
     compose,
     factorization_delta,
 )
-from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian, validate_device
+from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian
 from .engine import (
     BiSequence,
     ConsistencyError,
@@ -140,7 +140,7 @@ _LEAVES = {
 }
 _MATRIX = [[["a number", 2, 2], 1, None], 1, None]  # rows of [re, im] pairs
 _LABELS = [_LABEL, 1, None]
-_SYSTEM = {"dim": "an integer >= 1", "hamiltonian": _MATRIX, "label?": "a string"}
+_SYSTEM = {"dim": "an integer >= 1", "hamiltonian": _MATRIX}
 _DEVICE = {
     "name": "a string",
     "observable?": _MATRIX,
@@ -247,8 +247,6 @@ _VERB_KEYS = {
     "classical": (_FACTOR, {"threshold?": "a number"}, ("classical_consistency",)),
 }
 VERBS = tuple(_VERB_KEYS)
-#: The verbs whose table guard ``--force-large`` lifts.
-_FORCE_LARGE_VERBS = ("table", "verify", "classical")
 
 
 def _config_shape(verb: str, blocks: dict, params: dict, tolerances: tuple) -> dict:
@@ -336,7 +334,7 @@ def _operator(obj, where: str, dim: int) -> np.ndarray:
 def _build_system(obj: dict, where: str) -> SystemSpec:
     h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
     with _config_error(where):
-        return SystemSpec(dim=obj["dim"], hamiltonian=h, label=obj.get("label", "H"))
+        return SystemSpec(dim=obj["dim"], hamiltonian=h)
 
 
 def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]:
@@ -372,7 +370,6 @@ def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]
                         f"{len(projs)} projectors"
                     )
                 dev = Device(name=name, outcomes=outcomes, projectors=projs)
-                validate_device(dev)
         if dev.dim != dim:
             raise CliError(
                 f"config error at {ptr}: device dimension {dev.dim} does not "
@@ -556,7 +553,6 @@ def _checks_csv(checks: list[dict]) -> str:
 class _Context:
     cfg: dict
     tolerances: dict
-    force_large: bool
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
@@ -571,7 +567,7 @@ class _Context:
 
 def _cmd_table(ctx: _Context) -> None:
     system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule, force_large=ctx.force_large)
+    table = biprob_table(system, schedule)
     m = table.matrix
     ctx.results.update(
         {
@@ -588,7 +584,7 @@ def _cmd_table(ctx: _Context) -> None:
 
 def _cmd_verify(ctx: _Context) -> None:
     system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule, force_large=ctx.force_large)
+    table = biprob_table(system, schedule)
     rep = property_report(table)
     ctx.results.update(rep.as_dict())
     ctx.results["schedule_digest"] = table.schedule_digest
@@ -645,7 +641,7 @@ def _cmd_coarse(ctx: _Context) -> None:
                 "<=",
             )
         )
-    except ValueError as exc:
+    except TableSizeError as exc:
         ctx.results["recurrence"] = {"skipped": str(exc)}
 
     if "pair" in ctx.params:
@@ -899,7 +895,7 @@ def _cmd_sample(ctx: _Context) -> None:
 
 def _cmd_classical(ctx: _Context) -> None:
     system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule, force_large=ctx.force_large)
+    table = biprob_table(system, schedule)
     threshold = float(ctx.params.get("threshold", DEFAULT_TOLERANCES["classical_threshold"]))
     diag = classical_diagnostic(table, threshold=threshold)
     ctx.results.update(
@@ -961,19 +957,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("verb", choices=VERBS, help="command to run")
     parser.add_argument("--config", required=True, help="path to the JSON config file")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument(
-        "--force-large",
-        action="store_true",
-        help="lift the table-size guard (table, verify and classical only)",
-    )
     args = parser.parse_args(argv)
 
     try:
-        if args.force_large and args.verb not in _FORCE_LARGE_VERBS:
-            raise CliError(
-                f"--force-large is read only by the table, verify and classical verbs, "
-                f"not by {args.verb}"
-            )
         for name in ("BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"):
             try:
                 _env_cap(name)
@@ -992,20 +978,17 @@ def main(argv: list[str] | None = None) -> int:
         tolerances = dict(DEFAULT_TOLERANCES)
         tolerances.update(cfg.get("tolerances", {}))
 
-        ctx = _Context(cfg=cfg, tolerances=tolerances, force_large=bool(args.force_large))
+        ctx = _Context(cfg=cfg, tolerances=tolerances)
         try:
             _COMMANDS[args.verb](ctx)
         except TableSizeError as exc:
-            hint = "raise BITRAJ_MAX_TABLE"
-            if args.verb in _FORCE_LARGE_VERBS:
-                hint += " or pass --force-large"
             raise CliError(
                 json.dumps(
                     {
                         "error": "table-size-guard",
                         "requested_entries": exc.requested,
                         "limit": exc.limit,
-                        "hint": hint,
+                        "hint": "raise BITRAJ_MAX_TABLE",
                     }
                 )
             ) from None

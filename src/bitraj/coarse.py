@@ -10,6 +10,7 @@ when everything commutes) do the two routes agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -21,6 +22,7 @@ from .engine import (
     BiSequence,
     ConsistencyError,
     Schedule,
+    _guard,
     biprob,
     chain_probabilities,
     chain_probability,
@@ -39,10 +41,6 @@ __all__ = [
     "pairwise_decompose",
     "quantum_coarse_prob",
 ]
-
-#: Largest block size the pairwise recursion will expand.
-PAIRWISE_BLOCK_CAP = 12
-
 
 @dataclass(frozen=True, eq=False)
 class Resolution:
@@ -266,18 +264,19 @@ def pairwise_decompose(
     entry by entry until only singletons and pairs remain, then evaluates the
     terminal readouts as ordinary chains (memoized).  The result must agree
     with the direct coarse evaluation.
+
+    A block of k >= 3 members ends in k + k(k-1)/2 terminal readouts, so the
+    expansion evaluates their product over the entries; that count times d^2,
+    the unit of ``chain_probabilities``, must fit ``max_table_entries()``.
     """
     if len(outcomes) != len(schedule):
         raise ValueError("one readout per entry required")
-    effective: list[tuple] = []
-    for (t, dev, res), f in zip(schedule.entries, outcomes):
-        members = res.members(f) if res is not None else (f,)
-        if len(members) > PAIRWISE_BLOCK_CAP:
-            raise ValueError(
-                f"block of size {len(members)} exceeds the pairwise recursion cap "
-                f"{PAIRWISE_BLOCK_CAP}"
-            )
-        effective.append(tuple(members))
+    effective = [
+        tuple(res.members(f)) if res is not None else (f,)
+        for (_, _, res), f in zip(schedule.entries, outcomes)
+    ]
+    readouts = math.prod(k + k * (k - 1) // 2 if k >= 3 else 1 for k in map(len, effective))
+    _guard(readouts * system.dim * system.dim)
 
     cache: dict[tuple, float] = {}
     counter = [0]

@@ -68,12 +68,7 @@ def compose(spec: CompositeSpec) -> SystemSpec:
     )
     for c in spec.couplings:
         h = h + c.strength * np.kron(c.op_a, c.op_b)
-    return SystemSpec(
-        dim=da * db,
-        hamiltonian=h,
-        label=f"{spec.factor_a.label}*{spec.factor_b.label}",
-        allow_large=spec.factor_a.allow_large or spec.factor_b.allow_large,
-    )
+    return SystemSpec(dim=da * db, hamiltonian=h)
 
 
 def product_state(state_a: State, state_b: State) -> State:

@@ -32,7 +32,7 @@ __all__ = [
     "validate_device",
 ]
 
-#: Hard ceiling on Hilbert-space dimension unless explicitly overridden.
+#: Ceiling on Hilbert-space dimension unless ``BITRAJ_MAX_DIM`` sets another.
 DEFAULT_DIM_CAP = 64
 
 #: Relative spectral-gap threshold below which eigenvalues are treated as equal.
@@ -81,22 +81,22 @@ def _env_cap(name: str) -> int | None:
 
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """A closed system: Hilbert-space dimension and Hermitian generator."""
+    """A closed system: Hilbert-space dimension and Hermitian generator.
+
+    The dimension must fit ``BITRAJ_MAX_DIM`` (default ``DEFAULT_DIM_CAP``).
+    """
 
     dim: int
     hamiltonian: np.ndarray
-    label: str = "H"
-    allow_large: bool = False
 
     def __post_init__(self):
         h = _as_complex_matrix(self.hamiltonian, "hamiltonian")
         if h.shape[0] != self.dim:
             raise ValueError(f"hamiltonian shape {h.shape} does not match dim {self.dim}")
         cap = _env_cap("BITRAJ_MAX_DIM") or DEFAULT_DIM_CAP
-        if self.dim > cap and not self.allow_large:
+        if self.dim > cap:
             raise ValueError(
-                f"dimension {self.dim} exceeds the cap {cap}; pass allow_large=True "
-                "or set BITRAJ_MAX_DIM to proceed"
+                f"dimension {self.dim} exceeds the cap {cap}; raise BITRAJ_MAX_DIM to proceed"
             )
         _check_hermitian(h, "hamiltonian")
         object.__setattr__(self, "hamiltonian", _frozen_array(h))

@@ -73,13 +73,13 @@ class TableSizeError(ValueError):
         self.limit = limit
         super().__init__(
             f"enumeration size {requested} exceeds the guard {limit}; "
-            "set BITRAJ_MAX_TABLE or pass force_large=True if this is intended"
+            "raise BITRAJ_MAX_TABLE if this is intended"
         )
 
 
-def _guard(count: int, force_large: bool = False) -> None:
+def _guard(count: int) -> None:
     """Refuse an enumeration of ``count`` entries beyond ``max_table_entries()``."""
-    if not force_large and count > max_table_entries():
+    if count > max_table_entries():
         raise TableSizeError(count, max_table_entries())
 
 
@@ -347,15 +347,6 @@ class BiProbTable:
             }
         )
 
-    def to_json(self) -> dict:
-        labels = self._sequence_labels(label_to_json)
-        entries = [
-            {"plus": _fresh(fp), "minus": _fresh(fm), "re": q.real, "im": q.imag}
-            for fp, row in zip(labels, self.matrix)
-            for fm, q in zip(labels, row.tolist())
-        ]
-        return {"schedule_digest": self.schedule_digest, "entries": entries}
-
     def to_csv(self) -> str:
         n = len(self.schedule)
         header = (
@@ -371,24 +362,14 @@ class BiProbTable:
         return "\n".join(lines) + "\n"
 
 
-def _fresh(labels) -> list:
-    """A new list of JSON labels; nested (tuple-label) lists are copied too."""
-    return [_fresh(x) if isinstance(x, list) else x for x in labels]
-
-
-def biprob_table(
-    system: SystemSpec,
-    schedule: Schedule,
-    force_large: bool = False,
-) -> BiProbTable:
+def biprob_table(system: SystemSpec, schedule: Schedule) -> BiProbTable:
     """Enumerate the full table of a schedule.
 
     Guards against runaway sizes: the entry count (product of outcome counts,
-    squared) must stay at or below ``max_table_entries()`` unless
-    ``force_large`` is set.
+    squared) must stay at or below ``max_table_entries()``.
     """
     total = math.prod(dev.n_outcomes for dev in schedule.devices)
-    _guard(total * total, force_large)
+    _guard(total * total)
     flat = _table_leaves(system, schedule)
     matrix = flat @ flat.conj().T
     return BiProbTable(system=system, schedule=schedule, matrix=matrix)
@@ -562,8 +543,8 @@ def property_report(table: BiProbTable) -> PropertyReport:
     del block, resid  # free the block before the hermitianity tiles
     min_gram = spectrum - math.sqrt(residual_sq)
 
-    diag = m.diagonal()
-    max_diag_neg = float(max(0.0, -diag.real.min()))
+    neg = -float(m.diagonal().real.min())
+    max_diag_neg = neg if not neg <= 0.0 else 0.0  # keeps NaN; +0.0 for a non-negative diagonal
 
     return PropertyReport(
         normalization_error=float(normalization_error),
@@ -650,23 +631,27 @@ def _max_hermitianity(m: np.ndarray) -> float:
 
 
 def _max_biconsistency(table: BiProbTable) -> float:
-    """Largest ``|marginal - fresh shorter table|`` over every position, streamed."""
+    """Largest ``|marginal - fresh shorter table|`` over every position, streamed.
+
+    The fresh tables pass the size guard like any other: each is smaller than
+    the table, so none fails where the table itself was built.
+    """
     widest = table.n_sequences // min(table.radices)
     # float magnitudes of one leaf (at least one row) of any marginal
     mags_buf = np.empty(min(widest * widest, max(widest, _leaf_len(table.matrix))))
-    worst = 0.0
+    worst = []
     for pos in range(len(table.schedule)):
         diff = marginalize_pair(table, pos).matrix
-        fresh = biprob_table(table.system, table.schedule.without(pos), force_large=True).matrix
+        fresh = biprob_table(table.system, table.schedule.without(pos)).matrix
         rows = mags_buf.size // diff.shape[1]
         for start in range(0, diff.shape[0], rows):
             block = diff[start:start + rows]
             block -= fresh[start:start + rows]
             mags = mags_buf[: block.size].reshape(block.shape)
             np.abs(block, out=mags)
-            worst = max(worst, float(mags.max()))
+            worst.append(mags.max())
         del diff, fresh, block  # ``block`` views ``diff``; free the pair before the next
-    return worst
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True, eq=False)

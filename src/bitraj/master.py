@@ -324,8 +324,8 @@ def dynamical_map_exact(spec: OpenSpec, t: float) -> Superoperator:
     """Reduced evolution by conjugating with the joint propagator and tracing.
 
     Built column by column over the matrix units of the observed system.  The
-    joint system obeys the dimension cap like any other (``BITRAJ_MAX_DIM``,
-    or ``allow_large`` on a factor).
+    joint system obeys the dimension cap like any other system: the product
+    dimension must fit ``BITRAJ_MAX_DIM``, which only that variable raises.
     """
     d_o, d_e = spec.system.dim, spec.environment.dim
     u = _expm_herm(*np.linalg.eigh(spec.joint_hamiltonian()), float(t))
@@ -585,9 +585,7 @@ def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> Classic
         if n == 1:
             worst = max(worst, abs(float(marg) - 1.0))
             continue
-        shorter = biprob_table(
-            table.system, table.schedule.without(pos), force_large=True
-        )
+        shorter = biprob_table(table.system, table.schedule.without(pos))
         ref = shorter.matrix.diagonal().real.reshape(radices[:pos] + radices[pos + 1:])
         worst = max(worst, float(np.abs(marg - ref).max()))
     return ClassicalDiagnostic(

@@ -407,9 +407,45 @@ def test_table_guard_and_force_large(tmp_path, capsys, monkeypatch):
     assert guard["error"] == "table-size-guard"
     assert guard["requested_entries"] == 16
     assert guard["limit"] == 10
-    # --force-large lifts it
-    code = main(["verify", "--config", cfg_path, "--out", str(out), "--force-large"])
+    # --force-large is gone: raising the variable is the one way to lift the guard
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg_path, "--out", str(out), "--force-large"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "16")
+    code = main(["verify", "--config", cfg_path, "--out", str(out)])
     assert code == 0
+
+
+def test_coarse_skips_a_recurrence_over_the_guard(tmp_path, monkeypatch):
+    # one 12-outcome block read out 4 times: the fine chains (12^4 * 144 leaf
+    # entries) fit the default cap, the recurrence's 78^4 readouts do not
+    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
+    dim = 12
+    dev = {
+        "name": "W",
+        "outcomes": list(range(dim)),
+        "projectors": [mat(np.diag(np.eye(dim)[k])) for k in range(dim)],
+    }
+    block = {"blocks": [list(range(dim))], "labels": ["all"]}
+    cfg = {
+        "schema_version": 1,
+        "command": "coarse",
+        "system": {"dim": dim, "hamiltonian": mat(np.zeros((dim, dim)))},
+        "devices": [dev],
+        "schedule": {
+            "entries": [{"time": j + 1.0, "device": "W", "resolution": block} for j in range(4)]
+        },
+        "params": {"outcomes": ["all"] * 4},
+    }
+    code, report, _ = run(tmp_path, "coarse", cfg)
+    assert code == 0
+    results = report["results"]
+    assert results["quantum"] == pytest.approx(1.0, abs=1e-12)
+    assert results["faux"] == pytest.approx(1.0, abs=1e-12)
+    assert results["recurrence"] == {
+        "skipped": f"enumeration size {78**4 * 144} exceeds the guard 10000000; "
+        "raise BITRAJ_MAX_TABLE if this is intended"
+    }
 
 
 def test_markov_guard_exits_two(tmp_path, capsys, monkeypatch):
@@ -629,6 +665,7 @@ PINNED_REJECTIONS = [
     # one unknown key per object kind
     ("zx", ("bogus_key",), 1),
     ("zx", ("system", "bogus_key"), 1),
+    ("zx", ("system", "label"), True),  # a system carries no label
     ("zx", DEV0 + ("bogus_key",), 1),
     ("coarse", RES + ("bogus_key",), 1),
     ("zx", ENTRY0 + ("bogus_key",), 1),
@@ -721,7 +758,6 @@ PINNED_REJECTIONS = [
     ("coarse", ("params", "position"), -1),
     # strings
     ("zx", DEV0 + ("name",), 5),
-    ("zx", ("system", "label"), True),
     ("zx", ENTRY0 + ("device",), 1),
     ("markov", W0 + ("device",), None),
     ("zeno", ("params", "device"), 0),
@@ -1085,21 +1121,19 @@ def test_every_tolerance_but_the_classical_threshold_is_taken():
 
 @pytest.mark.parametrize("verb", VERBS)
 def test_force_large_only_where_a_table_is_guarded(tmp_path, capsys, verb):
-    code, report, _ = run(tmp_path, verb, PINNED_BASES[UNREAD[verb][0]], "--force-large")
-    if verb in ("table", "verify", "classical"):
-        assert code == 0
-    else:
-        assert code == 2
-        assert report is None
-        assert capsys.readouterr().err == (
-            f"--force-large is read only by the table, verify and classical verbs, not by {verb}\n"
-        )
+    # --force-large is gone from every verb: it is a usage error like any unknown option
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, verb, PINNED_BASES[UNREAD[verb][0]], "--force-large")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force-large" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("verb", [v for v in VERBS if v not in ("zeno", "uncertainty")])
 def test_guard_hint_names_force_large_only_where_it_lifts_the_guard(
     tmp_path, capsys, monkeypatch, verb
 ):
+    # no verb names a flag: every guard is lifted by raising BITRAJ_MAX_TABLE alone
     monkeypatch.setenv("BITRAJ_MAX_TABLE", "1")
     cfg = PINNED_BASES[UNREAD[verb][0]]
     code, report, _ = run(tmp_path, verb, cfg)
@@ -1108,11 +1142,9 @@ def test_guard_hint_names_force_large_only_where_it_lifts_the_guard(
     guard = json.loads(capsys.readouterr().err)
     assert guard["error"] == "table-size-guard"
     assert guard["limit"] == 1
-    if verb in ("table", "verify", "classical"):
-        assert guard["hint"] == "raise BITRAJ_MAX_TABLE or pass --force-large"
-        assert run(tmp_path, verb, cfg, "--force-large")[0] == 0
-    else:
-        assert guard["hint"] == "raise BITRAJ_MAX_TABLE"
+    assert guard["hint"] == "raise BITRAJ_MAX_TABLE"
+    monkeypatch.delenv("BITRAJ_MAX_TABLE")
+    assert run(tmp_path, verb, cfg)[0] == 0
 
 
 def test_readme_lists_each_verbs_keys():

@@ -18,7 +18,6 @@ from bitraj import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
-from bitraj.coarse import PAIRWISE_BLOCK_CAP
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 UP = np.diag([1.0, 0.0]).astype(complex)
@@ -145,12 +144,12 @@ def test_pairwise_recurrence(dim, blocks):
 
 @st.composite
 def pairwise_cases(draw):
-    """One or two coarse readouts, each with one block of 1 to min(d, cap) outcomes.
+    """One or two coarse readouts, each with one block of 1 to d outcomes.
 
     Dimension 2-5, states of every rank, ||H||_2 from 1e-2 to 1e5.
     """
     dim = draw(st.integers(2, 5))
-    sizes = draw(st.lists(st.integers(1, min(dim, PAIRWISE_BLOCK_CAP)), min_size=1, max_size=2))
+    sizes = draw(st.lists(st.integers(1, dim), min_size=1, max_size=2))
     rank = draw(st.integers(1, dim))
     log_norm = draw(st.floats(-2.0, 5.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -181,17 +180,32 @@ def test_pairwise_gate_holds_at_any_scale(case):
     assert abs(dec.recurrence_value - dec.direct_value) <= 1e-9
 
 
-def test_pairwise_block_cap():
-    dim = 13
+def _one_block_schedule(dim: int, n: int) -> tuple[SystemSpec, CoarseSchedule]:
+    """``n`` readouts of a ``dim``-outcome device, each merged into one block ``"all"``."""
     projs = tuple(np.diag([float(i == k) for i in range(dim)]).astype(complex) for k in range(dim))
     dev = Device(name="wide", outcomes=tuple(range(dim)), projectors=projs)
     system = SystemSpec(dim=dim, hamiltonian=np.zeros((dim, dim)))
     res = Resolution(dev, (tuple(range(dim)),), ("all",))
-    cs = CoarseSchedule(
-        entries=((1.0, dev, res),), init=State(np.eye(dim) / dim)
-    )
-    with pytest.raises(ValueError, match="block"):
+    entries = tuple((float(j + 1), dev, res) for j in range(n))
+    return system, CoarseSchedule(entries=entries, init=State(np.eye(dim) / dim))
+
+
+def test_pairwise_recurrence_is_guarded(monkeypatch):
+    # a block of 13 ends in 13 singles and 78 pairs, each a chain of d^2 = 169 entries
+    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
+    system, cs = _one_block_schedule(13, 1)
+    assert pairwise_decompose(system, cs, ("all",)).term_count == 91
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", str(91 * 169 - 1))
+    with pytest.raises(TableSizeError) as exc:
         pairwise_decompose(system, cs, ("all",))
+    assert exc.value.requested == 91 * 169
+    # 12 outcomes in one block over 4 entries: the fine chains fit the default
+    # cap (12^4 * 144), the 78^4 readouts are refused before any is evaluated
+    monkeypatch.delenv("BITRAJ_MAX_TABLE")
+    system, cs = _one_block_schedule(12, 4)
+    with pytest.raises(TableSizeError) as exc:
+        pairwise_decompose(system, cs, ("all",) * 4)
+    assert exc.value.requested == 78**4 * 144
 
 
 def test_coarse_schedule_allows_equal_times():

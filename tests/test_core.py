@@ -173,7 +173,6 @@ def test_dimension_cap():
     big = np.zeros((65, 65))
     with pytest.raises(ValueError, match="dimension"):
         SystemSpec(dim=65, hamiltonian=big)
-    SystemSpec(dim=65, hamiltonian=big, allow_large=True)  # opt-out works
 
 
 @pytest.mark.parametrize("raw", ["lots", "0", "-1", "6.5"])

@@ -209,17 +209,16 @@ def test_table_size_guard(monkeypatch):
         biprob_table(system, sched)
     assert exc.value.requested == 256
     assert exc.value.limit == 100
-    # explicit override lifts the guard
-    table = biprob_table(system, sched, force_large=True)
+    assert "raise BITRAJ_MAX_TABLE" in str(exc.value)
+    # only the variable lifts the guard
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "256")
+    table = biprob_table(system, sched)
     assert table.n_sequences == 16
 
 
 def test_table_json_roundtrip_fields():
     system, sched = random_config(13, dim=2, n=2)
     table = biprob_table(system, sched)
-    blob = table.to_json()
-    assert blob["schedule_digest"] == table.schedule_digest
-    assert len(blob["entries"]) == 16  # 4 sequences squared
     csv = table.to_csv()
     assert csv.splitlines()[0] == "plus_0,plus_1,minus_0,minus_1,re,im"
     assert len(csv.splitlines()) == 17
@@ -331,6 +330,69 @@ def test_table_cap_accepts_float_spelling(monkeypatch):
     assert max_table_entries() == 10_000_000
 
 
+def _enumerations():
+    """One call of every entry point that enumerates outcome sequences, on qubits."""
+    from bitraj import (
+        CoarseSchedule,
+        Coupling,
+        InitSpec,
+        OpenSpec,
+        Resolution,
+        conditional_prob,
+        dynamical_map_bitraj,
+        extreme_coarse_delta,
+        factorization_delta,
+        faux_coarse_prob,
+        markov_delta,
+        observable_restriction_delta,
+        pairwise_decompose,
+        stationarity_delta,
+        two_time_commutator,
+    )
+
+    system = SystemSpec(dim=2, hamiltonian=0.5 * SX)
+    sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    steps = [(t, dev.projectors) for t, dev in sched.entries]
+    cs = CoarseSchedule(
+        entries=((1.0, DEVX, Resolution.full(DEVX)), (2.0, DEVZ, None)), init=UP_STATE
+    )
+    open_spec = OpenSpec(
+        system=system,
+        environment=QUBIT_FREE,
+        couplings=(Coupling(SZ, SZ, 0.3),),
+        env_state=State(np.eye(2) / 2),
+    )
+    return {
+        "biprob_table": lambda: biprob_table(system, sched),
+        "chain_probabilities": lambda: chain_probabilities(system, UP_STATE, steps),
+        "faux_coarse_prob": lambda: faux_coarse_prob(system, cs, ("any", "u")),
+        "pairwise_decompose": lambda: pairwise_decompose(system, cs, ("any", "u")),
+        "extreme_coarse_delta": lambda: extreme_coarse_delta(system, sched, 0),
+        "markov_delta": lambda: markov_delta(
+            system, DEVZ, [0.5, 1.0], InitSpec(entries=((DEVZ, "u", 1.0),), time=0.0)
+        ),
+        "stationarity_delta": lambda: stationarity_delta(system, sched, 0.7),
+        "conditional_prob": lambda: conditional_prob(system, sched, ("+",), "u"),
+        "observable_restriction_delta": lambda: observable_restriction_delta(system, sched),
+        "dynamical_map_bitraj": lambda: dynamical_map_bitraj(
+            open_spec, 1.0, 1, via_enumeration=True
+        ),
+        "uniform_bound_check": lambda: uniform_bound_check(system, DEVZ, 1.0, 2),
+        "factorization_delta": lambda: factorization_delta(system, system, sched, sched),
+        "two_time_commutator": lambda: two_time_commutator(system, SZ, SX, 2.0, 1.0, UP_STATE),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_enumerations()))
+def test_every_enumeration_goes_through_the_guard(monkeypatch, name):
+    call = _enumerations()[name]
+    call()  # runs under the default cap
+    monkeypatch.setenv("BITRAJ_MAX_TABLE", "1")
+    with pytest.raises(TableSizeError) as exc:
+        call()
+    assert exc.value.limit == 1
+
+
 # ---------------------------------------------------------------------------
 # the row-block report against the dense reference
 
@@ -348,7 +410,7 @@ def dense_report(table):
             max_biconsistency = max(max_biconsistency, abs(marg - 1.0))
             continue
         marg = marginalize_pair(table, pos)
-        fresh = biprob_table(table.system, table.schedule.without(pos), force_large=True)
+        fresh = biprob_table(table.system, table.schedule.without(pos))
         diff = np.abs(marg.matrix - fresh.matrix).max()
         max_biconsistency = max(max_biconsistency, float(diff))
 
@@ -556,6 +618,19 @@ def test_gram_bound_fails_a_table_with_a_negative_direction(case):
         assert gram <= dense_report(bent).min_gram_eigenvalue + 1e-15
         check = _check("gram_min_eigenvalue", gram, DEFAULT_TOLERANCES["gram_min"], ">=")
         assert not check["pass"]
+
+
+@pytest.mark.parametrize("entry", [(0, 5), (3, 3)], ids=["off-diagonal", "diagonal"])
+def test_witnesses_report_a_nan_entry(entry):
+    # a fold with Python's max drops NaN and would read 0.0 here; the diagonal
+    # negativity reads only the diagonal, so only a diagonal NaN reaches it
+    table = biprob_table(*random_config(304, dim=2, n=3))
+    matrix = table.matrix.copy()
+    matrix[entry] = np.nan
+    rep = property_report(dataclasses.replace(table, matrix=matrix))
+    assert math.isnan(rep.normalization_error)
+    assert math.isnan(rep.max_biconsistency_error)
+    assert math.isnan(rep.max_diagonal_negativity) == (entry[0] == entry[1])
 
 
 def test_property_report_memory_stays_near_one_table():

@@ -338,9 +338,9 @@ def test_openspec_joint_hamiltonian_is_the_kron_sum_bit_for_bit(seed):
     assert np.array_equal(spec.joint_hamiltonian(), expected)
 
 
-def _wide_spec(allow_large=False):
+def _wide_spec():
     return OpenSpec(
-        system=SystemSpec(dim=8, hamiltonian=np.diag(np.arange(8.0)), allow_large=allow_large),
+        system=SystemSpec(dim=8, hamiltonian=np.diag(np.arange(8.0))),
         environment=SystemSpec(dim=9, hamiltonian=np.diag(0.5 * np.arange(9.0))),
         couplings=(),
         env_state=State(np.eye(9) / 9),
@@ -353,7 +353,7 @@ def test_exact_map_obeys_the_dimension_cap(monkeypatch):
         dynamical_map_exact(_wide_spec(), 0.4)
     # the bi-trajectory map never builds the joint system
     assert dynamical_map_bitraj(_wide_spec(), 0.4, 1).is_trace_preserving()
-    assert dynamical_map_exact(_wide_spec(allow_large=True), 0.4).is_trace_preserving()
+    # only the variable lifts the cap
     monkeypatch.setenv("BITRAJ_MAX_DIM", "100")
     assert dynamical_map_exact(_wide_spec(), 0.4).is_trace_preserving()
 
