@@ -48,7 +48,7 @@ from .engine import (
     ConsistencyError,
     Schedule,
     TableSizeError,
-    _abs_sum,
+    _mass,
     _max_hermitianity,
     biprob_table,
     chain_probabilities,
@@ -555,7 +555,7 @@ class _Context:
     tolerances: dict
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    artifacts: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)  # file name -> text, or a writer of the open file
 
     @property
     def params(self) -> dict:
@@ -572,14 +572,14 @@ def _cmd_table(ctx: _Context) -> None:
     ctx.results.update(
         {
             "n_sequences": table.n_sequences,
-            "l1_norm": _abs_sum(m),
+            "l1_norm": _mass(m),
             "normalization_error": abs(complex(m.sum()) - 1.0),
             "schedule_digest": table.schedule_digest,
             "table_digest": table.digest,
         }
     )
     ctx.checks.append(_check("hermitianity", _max_hermitianity(m), ctx.tol("hermitianity"), "<="))
-    ctx.artifacts["table.csv"] = table.to_csv()
+    ctx.artifacts["table.csv"] = table.write_csv
 
 
 def _cmd_verify(ctx: _Context) -> None:
@@ -1018,9 +1018,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        for name, text in ctx.artifacts.items():
+        for name, content in ctx.artifacts.items():
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+                if callable(content):  # a writer that streams the artifact
+                    content(fh)
+                else:
+                    fh.write(content)
         return 0 if ok else 1
     except CliError as exc:
         print(str(exc), file=sys.stderr)

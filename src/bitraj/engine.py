@@ -16,19 +16,22 @@ sequences.  ``property_report`` checks positivity through the same factor: its
 ``min_gram_eigenvalue`` is the certified lower bound
 ``lambda_min(W W^H) - ||Q - W W^H||_F`` from a d^2 x d^2 eigensolve, and its
 other witnesses are maxima and sums streamed through reused buffers of at
-most one block, so no temporary is the size of the table; the mass ``sum |Q|``
-follows NumPy's pairwise tree and keeps its bits.  Bi-consistency compares
+most one block, so no temporary is the size of the table.  Every pass over
+``|Q|`` reads one row block at a time; the mass ``sum |Q|`` adds the block
+sums in row order, so its bits follow the block partition, within a relative
+``(B + 40) * 2^-53`` of the exact sum over B blocks.  Bi-consistency compares
 each blocked, fixed-order ``marginalize_pair`` with a fresh shorter table,
 diffed in place and reduced one row block at a time.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -347,19 +350,20 @@ class BiProbTable:
             }
         )
 
-    def to_csv(self) -> str:
+    def write_csv(self, fh: TextIO) -> None:
+        """Write the table to ``fh`` as CSV: a header, then one line per entry, row by row."""
         n = len(self.schedule)
-        header = (
-            [f"plus_{j}" for j in range(n)]
-            + [f"minus_{j}" for j in range(n)]
-            + ["re", "im"]
-        )
-        lines = [",".join(header)]
+        header = [f"plus_{j}" for j in range(n)] + [f"minus_{j}" for j in range(n)] + ["re", "im"]
+        fh.write(",".join(header) + "\n")
         cells = [",".join(seq) for seq in self._sequence_labels(csv_cell)]
+        line = "%s,%s,%.17g,%.17g\n"
         for fp, row in zip(cells, self.matrix):
-            for fm, q in zip(cells, row.tolist()):
-                lines.append(f"{fp},{fm},{q.real:.17g},{q.imag:.17g}")
-        return "\n".join(lines) + "\n"
+            fh.write("".join(line % (fp, fm, q.real, q.imag) for fm, q in zip(cells, row.tolist())))
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
 
 def biprob_table(system: SystemSpec, schedule: Schedule) -> BiProbTable:
@@ -382,10 +386,24 @@ def _table_leaves(system: SystemSpec, schedule: Schedule) -> np.ndarray:
     return leaves.reshape(leaves.shape[0], -1)
 
 
-#: Bytes of one block of table rows that ``marginalize_pair`` and
-#: ``property_report`` hold at a time; the report's other scratch buffers
-#: cover an eighth of a block's entries (``_leaf_len``).
+#: Bytes of one block of table rows that ``marginalize_pair``, ``_abs_rows``
+#: and ``property_report`` hold at a time; the hermitianity tiles and the
+#: bi-consistency magnitudes cover an eighth of a block's entries.
 _BLOCK_BYTES = 1 << 22
+
+
+def _abs_rows(m: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, |m[start:stop]|)`` per block of ``_BLOCK_BYTES`` of rows, in one reused buffer."""
+    rows = max(1, _BLOCK_BYTES // m[0].nbytes)
+    buf = np.empty(min(rows, m.shape[0]) * m.shape[1])
+    for start in range(0, m.shape[0], rows):
+        block = m[start:start + rows]
+        yield start, np.abs(block, out=buf[: block.size].reshape(block.shape))
+
+
+def _mass(m: np.ndarray) -> float:
+    """``sum |m|``: the block sums of ``_abs_rows(m)`` added in row order."""
+    return float(sum(mags.sum() for _, mags in _abs_rows(m)))
 
 
 def marginalize_pair(table: BiProbTable, position: int) -> BiProbTable:
@@ -449,7 +467,9 @@ class PropertyReport:
 
     All fields are non-negative magnitudes except ``min_gram_eigenvalue``
     (signed; should not be below a small negative round-off allowance) and
-    ``l1_norm`` (the total mass ``sum |Q|``).
+    ``l1_norm`` (the total mass ``sum |Q|``: row block sums added in row
+    order, so its bits follow the block partition, within a relative
+    ``(B + 40) * 2^-53`` of the exact sum over B blocks).
 
     ``min_gram_eigenvalue`` is a certified lower bound on the least eigenvalue
     of the table's Hermitian part, ``lambda_min(W W^H) - ||Q - W W^H||_F``
@@ -467,15 +487,7 @@ class PropertyReport:
     l1_norm: float
 
     def as_dict(self) -> dict:
-        return {
-            "normalization_error": self.normalization_error,
-            "max_biconsistency_error": self.max_biconsistency_error,
-            "max_causality_violation": self.max_causality_violation,
-            "max_hermitianity_error": self.max_hermitianity_error,
-            "min_gram_eigenvalue": self.min_gram_eigenvalue,
-            "max_diagonal_negativity": self.max_diagonal_negativity,
-            "l1_norm": self.l1_norm,
-        }
+        return asdict(self)
 
 
 def property_report(table: BiProbTable) -> PropertyReport:
@@ -496,9 +508,10 @@ def property_report(table: BiProbTable) -> PropertyReport:
     term comes from ``W W^H`` when N <= d^2 and otherwise is
     ``min(0, lambda_min(W^H W))`` (the nonzero spectra agree).  The residual
     is accumulated over row blocks of ``Q`` in one reused block buffer, the
-    mass and the causality witness share the leaf buffer of ``_abs_sum`` and
-    the hermitianity witness comes from ``_max_hermitianity``'s tiles, so no
-    temporary is the size of the table and at most one block buffer is alive.
+    mass (block sums in row order) and the causality witness come from one
+    pass of ``_abs_rows`` and the hermitianity witness from
+    ``_max_hermitianity``'s tiles, so no temporary is the size of the table
+    and at most one block buffer is alive.
     """
     m = table.matrix
     normalization_error = abs(complex(m.sum()) - 1.0)
@@ -508,22 +521,19 @@ def property_report(table: BiProbTable) -> PropertyReport:
     else:
         max_biconsistency = _max_biconsistency(table)
 
-    total = table.n_sequences
     last_r = table.radices[-1]
+    l1 = 0.0
     off_last = []
-
-    def causality(start: int, mags: np.ndarray) -> None:
-        # zero the entries whose plus and minus sequences end in the same
-        # outcome: flat index k = p * N + c with c = p (mod r), as r divides N
-        for p in range(start // total, (start + mags.size - 1) // total + 1):
-            lo = max(p * total, start)
-            hi = min(p * total + total, start + mags.size)
-            mags[lo - start + (p - lo) % last_r:hi - start:last_r] = 0.0
+    for start, mags in _abs_rows(m):
+        l1 += mags.sum()
+        # zero the pairs whose branches end in the same outcome: row = column (mod r)
+        for j in range(last_r):
+            mags[(j - start) % last_r::last_r, j::last_r] = 0.0
         off_last.append(mags.max())
+    del mags  # a view of the reader's buffer; free it before the residual block
+    max_causality = float(np.max(off_last))
 
-    l1 = _abs_sum(m, causality)
-    max_causality = float(np.max([0.0] + off_last))
-
+    total = table.n_sequences
     flat = _table_leaves(table.system, table.schedule)
     flat_h = flat.conj().T
     if total <= flat.shape[1]:
@@ -553,56 +563,7 @@ def property_report(table: BiProbTable) -> PropertyReport:
         max_hermitianity_error=_max_hermitianity(m),
         min_gram_eigenvalue=min_gram,
         max_diagonal_negativity=max_diag_neg,
-        l1_norm=l1,
-    )
-
-
-def _leaf_len(m: np.ndarray) -> int:
-    """Entries of ``m`` one scratch buffer covers: an eighth of a block's worth, at least 128."""
-    return max(128, _BLOCK_BYTES // (8 * m.itemsize))
-
-
-def _abs_sum(m: np.ndarray, visit: Callable[[int, np.ndarray], None] | None = None) -> float:
-    """``np.abs(m).sum()`` of a C-contiguous ``m``, bit for bit, without an array of its size.
-
-    NumPy sums a contiguous float64 array pairwise: up to 128 elements in one
-    unrolled loop, otherwise the two halves split at ``n // 2`` rounded down to
-    a multiple of 8, recursively (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, section 4.2).  The walk follows that tree over the flat ``m``
-    down to ranges of at most ``_leaf_len(m)`` elements; NumPy sums each
-    range's magnitudes, held in one reused float buffer, by the same subtree,
-    and the walk adds the range sums in tree order.  ``visit(start,
-    mags)`` then sees the magnitudes of the flat range from ``start`` and may
-    overwrite them.
-    """
-    flat = m.reshape(-1)
-    buf = np.empty(min(flat.size, _leaf_len(m)))
-    return float(_pairwise_abs_sum(flat, 0, flat.size, buf, visit))
-
-
-def _pairwise_abs_sum(
-    flat: np.ndarray,
-    start: int,
-    n: int,
-    buf: np.ndarray,
-    visit: Callable[[int, np.ndarray], None] | None,
-) -> float:
-    """The node of ``_abs_sum``'s tree over ``flat[start:start + n]``.
-
-    A module-level function rather than a closure: a nested function that
-    calls itself is a reference cycle, which would keep the table alive until
-    the cycle collector runs.
-    """
-    if n <= buf.size:
-        mags = np.abs(flat[start:start + n], out=buf[:n])
-        total = mags.sum()
-        if visit is not None:
-            visit(start, mags)
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_abs_sum(flat, start, half, buf, visit) + _pairwise_abs_sum(
-        flat, start + half, n - half, buf, visit
+        l1_norm=float(l1),
     )
 
 
@@ -611,22 +572,20 @@ def _max_hermitianity(m: np.ndarray) -> float:
 
     ``|Q[a, b] - conj Q[b, a]|`` is symmetric in (a, b) exactly, so only the
     square tiles on and above the diagonal are formed, each in one reused
-    complex tile and one float tile of ``_leaf_len(m)`` entries or less.
+    complex tile and one float tile of an eighth of a block's entries or less.
     """
     total = m.shape[0]
-    side = min(total, math.isqrt(_leaf_len(m)))
+    side = min(total, max(1, math.isqrt(_BLOCK_BYTES // (8 * m.itemsize))))
     diff_buf = np.empty(side * side, dtype=m.dtype)
     mags_buf = np.empty(side * side)
     worst = []
     for a0 in range(0, total, side):
-        a1 = min(a0 + side, total)
         for b0 in range(a0, total, side):
-            b1 = min(b0 + side, total)
-            size = (a1 - a0) * (b1 - b0)
-            diff = diff_buf[:size].reshape(a1 - a0, b1 - b0)
-            np.conjugate(m[b0:b1, a0:a1].T, out=diff)
-            np.subtract(m[a0:a1, b0:b1], diff, out=diff)
-            worst.append(np.abs(diff, out=mags_buf[:size].reshape(diff.shape)).max())
+            upper, lower = m[a0:a0 + side, b0:b0 + side], m[b0:b0 + side, a0:a0 + side]
+            diff = diff_buf[: upper.size].reshape(upper.shape)
+            np.conjugate(lower.T, out=diff)
+            np.subtract(upper, diff, out=diff)
+            worst.append(np.abs(diff, out=mags_buf[: diff.size].reshape(diff.shape)).max())
     return float(np.max(worst))
 
 
@@ -637,8 +596,9 @@ def _max_biconsistency(table: BiProbTable) -> float:
     the table, so none fails where the table itself was built.
     """
     widest = table.n_sequences // min(table.radices)
-    # float magnitudes of one leaf (at least one row) of any marginal
-    mags_buf = np.empty(min(widest * widest, max(widest, _leaf_len(table.matrix))))
+    # float magnitudes of an eighth of a block's entries (at least one row) of any marginal
+    eighth = _BLOCK_BYTES // (8 * table.matrix.itemsize)
+    mags_buf = np.empty(min(widest * widest, max(widest, eighth)))
     worst = []
     for pos in range(len(table.schedule)):
         diff = marginalize_pair(table, pos).matrix
@@ -647,9 +607,7 @@ def _max_biconsistency(table: BiProbTable) -> float:
         for start in range(0, diff.shape[0], rows):
             block = diff[start:start + rows]
             block -= fresh[start:start + rows]
-            mags = mags_buf[: block.size].reshape(block.shape)
-            np.abs(block, out=mags)
-            worst.append(mags.max())
+            worst.append(np.abs(block, out=mags_buf[: block.size].reshape(block.shape)).max())
         del diff, fresh, block  # ``block`` views ``diff``; free the pair before the next
     return float(np.max(worst))
 
@@ -720,7 +678,7 @@ def uniform_bound_check(
         times = [(j + 1) * total_time / n for j in range(n)]
         entries = tuple((t, device) for t in times)
         table = biprob_table(system, Schedule(entries=entries, init=init))
-        l1 = _abs_sum(table.matrix)
+        l1 = _mass(table.matrix)
         if l1 > bound * (1 + 1e-12):
             raise ValueError(
                 f"computed mass {l1} at grid n={n} exceeds the analytic bound {bound}"

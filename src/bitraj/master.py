@@ -35,9 +35,9 @@ from .engine import (
     BiProbTable,
     ConsistencyError,
     Schedule,
-    _abs_sum,
     _guard,
     _leaves,
+    _mass,
     biprob_table,
 )
 from .serialize import matrix_to_json
@@ -536,9 +536,10 @@ class ClassicalDiagnostic:
 
     ``offdiag_mass`` sums |Q| over unordered off-diagonal sequence pairs
     (hermitianity makes the two orderings redundant).  When the mass is at or
-    below the threshold the diagonal is returned as a single-trajectory
-    probability table (shaped by the per-entry outcome counts), together with
-    the largest marginalization gap against freshly computed shorter tables.
+    below the threshold (a NaN mass never is) the diagonal is returned as a
+    single-trajectory probability table (shaped by the per-entry outcome
+    counts), together with the largest marginalization gap against freshly
+    computed shorter tables.
     """
 
     offdiag_mass: float
@@ -568,8 +569,8 @@ def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> Classic
     violate away from the classical limit.
     """
     m = table.matrix
-    mass = 0.5 * float(_abs_sum(m) - np.abs(m.diagonal()).sum())
-    if mass > threshold:
+    mass = 0.5 * float(_mass(m) - np.abs(m.diagonal()).sum())
+    if not mass <= threshold:  # a NaN mass is not classical
         return ClassicalDiagnostic(
             offdiag_mass=mass,
             threshold=float(threshold),
@@ -578,21 +579,19 @@ def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> Classic
         )
     radices = table.radices
     surrogate = m.diagonal().real.copy().reshape(radices)
-    worst = 0.0
-    n = len(radices)
-    for pos in range(n):
-        marg = surrogate.sum(axis=pos)
-        if n == 1:
-            worst = max(worst, abs(float(marg) - 1.0))
-            continue
-        shorter = biprob_table(table.system, table.schedule.without(pos))
-        ref = shorter.matrix.diagonal().real.reshape(radices[:pos] + radices[pos + 1:])
-        worst = max(worst, float(np.abs(marg - ref).max()))
+    if len(radices) == 1:
+        gaps = [abs(float(surrogate.sum()) - 1.0)]
+    else:
+        gaps = []
+        for pos in range(len(radices)):
+            shorter = biprob_table(table.system, table.schedule.without(pos))
+            ref = shorter.matrix.diagonal().real.reshape(radices[:pos] + radices[pos + 1:])
+            gaps.append(np.abs(surrogate.sum(axis=pos) - ref).max())
     return ClassicalDiagnostic(
         offdiag_mass=mass,
         threshold=float(threshold),
         surrogate=surrogate,
-        consistency_error=worst,
+        consistency_error=float(np.max(gaps)),  # NaN-propagating, unlike max()
     )
 
 

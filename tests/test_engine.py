@@ -222,6 +222,11 @@ def test_table_json_roundtrip_fields():
     csv = table.to_csv()
     assert csv.splitlines()[0] == "plus_0,plus_1,minus_0,minus_1,re,im"
     assert len(csv.splitlines()) == 17
+    lines = [
+        ",".join(map(str, bi.plus + bi.minus)) + f",{q.real:.17g},{q.imag:.17g}"
+        for bi, q in table.items()
+    ]
+    assert csv == "\n".join(["plus_0,plus_1,minus_0,minus_1,re,im"] + lines) + "\n"
 
 
 def test_gudder_metric_reproduces_table():
@@ -495,42 +500,48 @@ def test_property_report_matches_the_dense_reference(case):
     assert gram >= -1e-12
 
 
-def leaf_bytes(leaf, m):
-    """The ``_BLOCK_BYTES`` at which ``engine._leaf_len(m)`` is ``leaf``."""
-    return leaf * 8 * m.itemsize
+def check_mass(got, m):
+    """``got`` is within ``(B + 40) * 2^-53`` of the exact ``sum |m|``; returns B, the row blocks."""
+    blocks = -(-m.shape[0] // max(1, engine._BLOCK_BYTES // m[0].nbytes))
+    exact = math.fsum(np.abs(m).ravel())
+    assert abs(got - exact) <= (blocks + 40) * 2.0**-53 * exact
+    return blocks
 
 
 @settings(max_examples=40)
 @given(report_cases())
-def test_streamed_mass_equals_the_dense_sum(case):
+def test_block_mass_is_within_the_summation_bound(case):
     m = biprob_table(*case).matrix
-    for leaf in (128, 1000, None):
+    for block in (m[0].nbytes, 3 * m[0].nbytes, engine._BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
-            if leaf is not None:
-                mp.setattr(engine, "_BLOCK_BYTES", leaf_bytes(leaf, m))
-            assert engine._abs_sum(m) == np.abs(m).sum()
+            mp.setattr(engine, "_BLOCK_BYTES", block)
+            got = engine._mass(m)
+            blocks = check_mass(got, m)
+        if blocks == 1:  # NumPy's pairwise sum of the whole table, bit for bit
+            assert got == np.abs(m).sum()
 
 
-def test_streamed_mass_equals_the_dense_sum_on_a_large_table():
-    # 2187^2 entries span many default leaves; summing row blocks one after
-    # another instead differs from the pairwise sum in the last bit
+def test_block_mass_is_within_the_summation_bound_on_a_large_table():
+    # 2187 rows of 35 KB: the default block holds 119 of them
     m = biprob_table(*random_config(303, dim=3, n=7)).matrix
-    assert m.size > 100 * engine._leaf_len(m)
-    assert engine._abs_sum(m) == np.abs(m).sum()
+    assert check_mass(engine._mass(m), m) == 19
 
 
 @settings(max_examples=30)
-@given(report_cases(), st.sampled_from([128, 1000]))
-def test_property_report_matches_the_dense_reference_in_small_leaves(case, leaf):
-    # leaves that split rows exercise the causality mask across row ends;
-    # the Gram residual's bits follow its row blocks, so it is left out
+@given(report_cases(), st.sampled_from([1, 3, None]))
+def test_property_report_matches_the_dense_reference_in_small_blocks(case, block_rows):
+    # one- and three-row blocks put the causality mask at every row offset;
+    # the mass and the Gram residual follow their blocks, so they are bounded
     table = biprob_table(*case)
     want = dense_report(table).as_dict()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_BLOCK_BYTES", leaf_bytes(leaf, table.matrix))
+        if block_rows is not None:
+            mp.setattr(engine, "_BLOCK_BYTES", block_rows * table.matrix[0].nbytes)
         got = property_report(table).as_dict()
+        check_mass(got.pop("l1_norm"), table.matrix)
     assert got.pop("min_gram_eigenvalue") <= want.pop("min_gram_eigenvalue") + 1e-15
-    assert got == want
+    want.pop("l1_norm")
+    assert got == want  # every other witness bit for bit
 
 
 @st.composite
@@ -713,6 +724,22 @@ def test_hermitianity_witness_works_in_small_tiles():
     table = biprob_table(*random_config(302, dim=2, n=11))
     ratio = extra_peak(lambda: engine._max_hermitianity(table.matrix)) / table.matrix.nbytes
     assert ratio < 0.03, f"extra peak {ratio:.4f}x the table"
+
+
+def test_table_export_holds_no_table_sized_text(tmp_path):
+    # the whole CSV as one string is about 18x the table; one row at a time
+    # is a few hundredths of it
+    table = biprob_table(*random_config(311, dim=2, n=8))
+    assert table.n_sequences == 256
+    path = tmp_path / "table.csv"
+
+    def export():
+        with open(path, "w", encoding="utf-8") as fh:
+            table.write_csv(fh)
+
+    ratio = extra_peak(export) / table.matrix.nbytes
+    assert ratio < 0.25, f"extra peak {ratio:.3f}x the table"
+    assert path.read_text(encoding="utf-8") == table.to_csv()
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, None])

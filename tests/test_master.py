@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -508,6 +509,20 @@ def test_classical_diagnostic_zx():
     assert not diag.consistent
     csv = diag.to_csv()
     assert csv.splitlines()[0] == "offdiag_mass,threshold,consistent"
+
+
+@pytest.mark.parametrize("entry", [(3, 3), (0, 1)])
+def test_classical_diagnostic_rejects_a_nan_table(entry):
+    # a NaN mass is not "at or below the threshold": no surrogate, not consistent
+    system = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
+    table = biprob_table(system, Schedule(entries=((1.0, DEVZ), (2.0, DEVZ)), init=UP_STATE))
+    matrix = table.matrix.copy()
+    matrix[entry] = np.nan
+    diag = classical_diagnostic(dataclasses.replace(table, matrix=matrix))
+    assert math.isnan(diag.offdiag_mass)
+    assert diag.surrogate is None
+    assert diag.consistency_error is None
+    assert not diag.consistent
 
 
 # ---------------------------------------------------------------------------
