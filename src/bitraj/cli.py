@@ -69,7 +69,7 @@ from .phenomena import (
     uncertainty_matrix,
     zeno_scan,
 )
-from .serialize import canonical_digest, label_from_json, matrix_from_json, matrix_to_json
+from .serialize import canonical_digest, csv_text, label_from_json, matrix_from_json, matrix_to_json
 
 __all__ = ["main"]
 
@@ -121,7 +121,8 @@ _LABEL = "a label (string, number or boolean)"
 
 
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float: ``json.load`` also yields NaN and infinities."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
 
 
 def _integer(x) -> bool:
@@ -135,7 +136,7 @@ _LEAVES = {
     "an integer >= 1": lambda x: _integer(x) and not x < 1,
     "a string": lambda x: isinstance(x, str),
     "a boolean": lambda x: isinstance(x, bool),
-    _LABEL: lambda x: isinstance(x, (str, int, float)),
+    _LABEL: lambda x: isinstance(x, (str, bool)) or _number(x),
     "schema version 1": lambda x: _number(x) and x == 1,
 }
 _MATRIX = [[["a number", 2, 2], 1, None], 1, None]  # rows of [re, im] pairs
@@ -518,32 +519,15 @@ def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
 # checks
 
 def _check(name: str, value: float, bound: float, comparator: str) -> dict:
-    value = float(value)
-    if comparator == "<=":
-        ok = value <= bound
-    elif comparator == ">=":
-        ok = value >= bound
-    else:
-        raise ValueError(f"unknown comparator {comparator!r}")
-    if math.isnan(value):
-        ok = False
+    """A check of ``value <= bound`` (comparator ``"<="``) or ``value >= bound``; NaN fails."""
+    value, bound = float(value), float(bound)
     return {
         "name": name,
         "value": value,
-        "bound": float(bound),
+        "bound": bound,
         "comparator": comparator,
-        "pass": bool(ok),
+        "pass": value <= bound if comparator == "<=" else value >= bound,
     }
-
-
-def _checks_csv(checks: list[dict]) -> str:
-    lines = ["name,value,bound,comparator,pass"]
-    for c in checks:
-        lines.append(
-            f"{c['name']},{c['value']:.17g},{c['bound']:.17g},"
-            f"{c['comparator']},{c['pass']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +588,9 @@ def _cmd_verify(ctx: _Context) -> None:
             ),
         ]
     )
-    ctx.artifacts["properties.csv"] = _checks_csv(ctx.checks)
+    ctx.artifacts["properties.csv"] = csv_text(
+        "name,value,bound,comparator,pass", (c.values() for c in ctx.checks)
+    )
 
 
 def _cmd_coarse(ctx: _Context) -> None:
@@ -662,9 +648,8 @@ def _cmd_coarse(ctx: _Context) -> None:
                 "<=",
             )
         )
-    ctx.artifacts["coarse.csv"] = (
-        "quantum,faux,interference_total\n"
-        f"{quantum:.17g},{faux:.17g},{quantum - faux:.17g}\n"
+    ctx.artifacts["coarse.csv"] = csv_text(
+        "quantum,faux,interference_total", [(quantum, faux, quantum - faux)]
     )
 
 
@@ -703,8 +688,8 @@ def _cmd_compose(ctx: _Context) -> None:
         )
         phi = co_interference(sys_a, sys_b, sched_a, sched_b, bi_a, bi_b)
         ctx.results["co_interference"] = phi
-    ctx.artifacts["compose.csv"] = (
-        "factorization_delta,coupled\n" f"{delta:.17g},{bool(couplings)}\n"
+    ctx.artifacts["compose.csv"] = csv_text(
+        "factorization_delta,coupled", [(delta, bool(couplings))]
     )
 
 
@@ -722,9 +707,8 @@ def _cmd_markov(ctx: _Context) -> None:
     ctx.results["fine_grained"] = fine
     if fine:
         ctx.checks.append(_check("markov_factorization", rep.delta, ctx.tol("markov"), "<="))
-    ctx.artifacts["markov.csv"] = (
-        "delta,excluded,checked,fine_grained\n"
-        f"{rep.delta:.17g},{rep.excluded},{rep.checked},{fine}\n"
+    ctx.artifacts["markov.csv"] = csv_text(
+        "delta,excluded,checked,fine_grained", [(rep.delta, rep.excluded, rep.checked, fine)]
     )
 
 
@@ -845,12 +829,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
         ctx.checks.append(
             _check("enumeration_vs_transfer", gap, ctx.tol("map_cross_check"), "<=")
         )
-    ctx.artifacts["map_compare.csv"] = (
-        "slices,residual,tp_error,choi_min\n"
-        + "".join(
-            f"{r['slices']},{r['residual']:.17g},{r['tp_error']:.17g},{r['choi_min']:.17g}\n"
-            for r in rows
-        )
+    ctx.artifacts["map_compare.csv"] = csv_text(
+        "slices,residual,tp_error,choi_min", (r.values() for r in rows)
     )
 
 
@@ -906,16 +886,14 @@ def _cmd_classical(ctx: _Context) -> None:
             "consistency_error": diag.consistency_error,
         }
     )
+    consistent = False  # without a surrogate there is nothing to be consistent
     if diag.surrogate is not None:
-        ctx.checks.append(
-            _check(
-                "kolmogorov_consistency",
-                diag.consistency_error,
-                ctx.tol("classical_consistency"),
-                "<=",
-            )
-        )
-    ctx.artifacts["classical.csv"] = diag.to_csv()
+        tol = ctx.tol("classical_consistency")
+        ctx.checks.append(_check("kolmogorov_consistency", diag.consistency_error, tol, "<="))
+        consistent = ctx.checks[-1]["pass"]
+    ctx.artifacts["classical.csv"] = csv_text(
+        "offdiag_mass,threshold,consistent", [(diag.offdiag_mass, diag.threshold, consistent)]
+    )
 
 
 _COMMANDS = {

@@ -355,10 +355,11 @@ class BiProbTable:
         n = len(self.schedule)
         header = [f"plus_{j}" for j in range(n)] + [f"minus_{j}" for j in range(n)] + ["re", "im"]
         fh.write(",".join(header) + "\n")
-        cells = [",".join(seq) for seq in self._sequence_labels(csv_cell)]
-        line = "%s,%s,%.17g,%.17g\n"
-        for fp, row in zip(cells, self.matrix):
-            fh.write("".join(line % (fp, fm, q.real, q.imag) for fm, q in zip(cells, row.tolist())))
+        cells = [",".join(seq).replace("%", "%%") for seq in self._sequence_labels(csv_cell)]
+        tails = [cell + ",%.17g,%.17g\n" for cell in cells]
+        for cell, row in zip(cells, np.ascontiguousarray(self.matrix, dtype=complex)):
+            head = cell + ","  # one % per row: "<plus cells>,<minus cells>,re,im" per entry
+            fh.write((head + head.join(tails)) % tuple(row.view(np.float64).tolist()))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -43,7 +43,7 @@ from .coarse import CoarseSchedule, Resolution, _block_label
 from .core import Device, Label, State, SystemSpec, heisenberg_projectors
 from .engine import Schedule
 from .phenomena import uncertainty_matrix
-from .serialize import csv_cell, label_to_json
+from .serialize import csv_cell, csv_text, label_to_json
 
 __all__ = [
     "EmpiricalDist",
@@ -93,14 +93,13 @@ class SampleRun:
         }
 
     def to_csv(self) -> str:
-        lines = ["sequence,count,p_hat,sigma"]
         n = self.n_samples
+        rows = []
         for seq, c in sorted(self.counts.items(), key=lambda kv: str(kv[0])):
             p = c / n
-            sig = math.sqrt(p * (1.0 - p) / n)
             cell = csv_cell(";".join(str(label_to_json(l)) for l in seq))
-            lines.append(f"{cell},{c},{p:.17g},{sig:.17g}")
-        return "\n".join(lines) + "\n"
+            rows.append((cell, c, p, math.sqrt(p * (1.0 - p) / n)))
+        return csv_text("sequence,count,p_hat,sigma", rows)
 
 
 @dataclass(frozen=True, eq=False)

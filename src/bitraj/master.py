@@ -547,16 +547,6 @@ class ClassicalDiagnostic:
     surrogate: np.ndarray | None
     consistency_error: float | None
 
-    @property
-    def consistent(self) -> bool:
-        return self.consistency_error is not None and self.consistency_error <= 1e-9
-
-    def to_csv(self) -> str:
-        return (
-            "offdiag_mass,threshold,consistent\n"
-            f"{self.offdiag_mass:.17g},{self.threshold:.17g},{self.consistent}\n"
-        )
-
 
 def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> ClassicalDiagnostic:
     """Check whether a table is effectively a classical probability measure.

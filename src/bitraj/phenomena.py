@@ -10,6 +10,7 @@ of statistics under rigid time shifts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +29,7 @@ from .core import (
     propagator,
 )
 from .engine import ConsistencyError, Schedule, chain_probabilities, chain_probability
-from .serialize import csv_cell
+from .serialize import csv_cell, csv_text
 
 __all__ = [
     "InitSpec",
@@ -189,10 +190,7 @@ class ZenoSeries:
     rate: float
 
     def to_csv(self) -> str:
-        lines = ["n,survival"]
-        for n, s in zip(self.n_values, self.survival):
-            lines.append(f"{n},{s:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text("n,survival", zip(self.n_values, self.survival))
 
 
 def zeno_scan(
@@ -303,12 +301,8 @@ def uncertainty_matrix(
 
 def uncertainty_csv(dev_k: Device, dev_l: Device, matrix: np.ndarray) -> str:
     """Tabulate an overlap matrix as k,l,value rows, labels as ``csv_cell`` fields."""
-    lines = ["k,l,value"]
-    cells_l = [csv_cell(l) for l in dev_l.outcomes]
-    for i, k in enumerate(map(csv_cell, dev_k.outcomes)):
-        for j, l in enumerate(cells_l):
-            lines.append(f"{k},{l},{matrix[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    cells = itertools.product(map(csv_cell, dev_k.outcomes), map(csv_cell, dev_l.outcomes))
+    return csv_text("k,l,value", ((k, l, x) for (k, l), x in zip(cells, matrix.flat)))
 
 
 def stationarity_delta(

@@ -3,7 +3,10 @@
 Conventions: complex matrices travel as row-major nested lists of ``[re, im]``
 pairs; outcome labels as strings or numbers (tuples become lists); digests are
 SHA-256 over a canonical JSON rendering with floats rounded to 12 significant
-digits.
+digits.  Every CSV artifact is written by ``csv_text`` (the bi-probability
+table streams its own rows, ``BiProbTable.write_csv``, in the same format):
+floats as ``%.17g``, so they read back bit for bit, labels as ``csv_cell``
+fields, any other field with ``str``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 __all__ = [
     "canonical_digest",
     "csv_cell",
+    "csv_text",
     "label_to_json",
     "label_from_json",
     "matrix_from_json",
@@ -63,6 +67,15 @@ def csv_cell(label) -> str:
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_field(x) -> str:
+    return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
+
+
+def csv_text(header: str, rows: Iterable[Iterable]) -> str:
+    """A header line and a line per row; floats as ``%.17g``, other fields by ``str``."""
+    return "\n".join([header, *(",".join(map(_csv_field, row)) for row in rows)]) + "\n"
 
 
 def _round_floats(obj):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitraj.cli import _CONFIG_SHAPES, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
+from bitraj.cli import _CONFIG_SHAPES, _LABEL, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
 from bitraj.serialize import canonical_digest
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -294,7 +294,35 @@ def test_classical_verb_zx(tmp_path):
     assert code == 0  # reporting a non-classical table is not a failure
     assert report["results"]["offdiag_mass"] == pytest.approx(0.5, abs=1e-12)
     assert report["results"]["surrogate_returned"] is False
-    assert (out / "classical.csv").exists()
+    rows = (out / "classical.csv").read_text().splitlines()
+    assert rows[0] == "offdiag_mass,threshold,consistent"
+    assert rows[1].endswith(",False")  # no surrogate, nothing to be consistent
+
+
+def test_classical_csv_takes_its_verdict_from_the_check(tmp_path):
+    # Z then X on a state just off |u>: the off-diagonal mass is under the
+    # threshold, and the surrogate's Kolmogorov gap (about 0.01) passes the
+    # configured bound, so the CSV's consistent column agrees with the check
+    psi = np.array([1.0, 0.01]) / math.hypot(1.0, 0.01)
+    cfg = dict(
+        ZX_BASE,
+        command="classical",
+        schedule={"entries": [{"time": 1.0, "device": "Z"}, {"time": 2.0, "device": "X"}]},
+        init={"density": mat(np.outer(psi, psi))},
+        params={"threshold": 0.02},
+        tolerances={"classical_consistency": 0.02},
+    )
+    code, report, out = run(tmp_path, "classical", cfg)
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["name"] == "kolmogorov_consistency"
+    assert 1e-9 < check["value"] <= 0.02
+    assert check["pass"] is True
+    header, row = (out / "classical.csv").read_text().splitlines()
+    assert header == "offdiag_mass,threshold,consistent"
+    mass, threshold, consistent = row.split(",")
+    assert float(mass) == report["results"]["offdiag_mass"] <= 0.02
+    assert (threshold, consistent) == ("0.02", "True")
 
 
 def test_classical_verb_commuting(tmp_path):
@@ -933,6 +961,44 @@ def test_integral_float_means_the_integer(tmp_path, path):
     assert reports[1]["checks"] == reports[0]["checks"]
     assert reports[1]["config_digest"] == canonical_digest(as_float)
     assert reports[1]["config_digest"] != reports[0]["config_digest"]
+
+
+# ---------------------------------------------------------------------------
+# json.load admits NaN and Infinity; no number leaf does
+
+
+def _float_leaves(value, path=()):
+    if isinstance(value, float):
+        yield path
+    elif isinstance(value, (list, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, v in items:
+            yield from _float_leaves(v, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "token", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+)
+@pytest.mark.parametrize("base", sorted(PINNED_BASES))
+def test_non_finite_number_exits_two_with_its_pointer(tmp_path, capsys, base, token):
+    leaves = list(_float_leaves(PINNED_BASES[base]))
+    assert leaves
+    for path in leaves:
+        cfg_path = write_config(tmp_path, _mutated(PINNED_BASES[base], path, token))
+        assert json.dumps(token) in Path(cfg_path).read_text()  # the literal JSON token
+        assert main([PINNED_BASES[base]["command"], "--config", cfg_path]) == 2, path
+        pointer = re.escape("/" + "/".join(map(str, path)))
+        expected = rf"config error at {pointer}: expected a number( >= 0)?, got {token!r}\n"
+        assert re.fullmatch(expected, capsys.readouterr().err), path
+
+
+def test_non_finite_label_exits_two_with_its_pointer(tmp_path, capsys):
+    for token in (math.nan, math.inf, -math.inf):
+        cfg = _mutated(PINNED_BASES["zeno"], ("params", "outcome"), token)
+        assert main(["zeno", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error at /params/outcome: expected {_LABEL}, got {token!r}\n"
+        )
 
 
 # ---------------------------------------------------------------------------

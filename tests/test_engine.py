@@ -27,6 +27,7 @@ from bitraj import (
 )
 from bitraj import engine
 from bitraj.cli import DEFAULT_TOLERANCES, _check
+from bitraj.serialize import csv_cell
 from conftest import extra_peak
 from bitraj.engine import (
     PropertyReport,
@@ -227,6 +228,22 @@ def test_table_json_roundtrip_fields():
         for bi, q in table.items()
     ]
     assert csv == "\n".join(["plus_0,plus_1,minus_0,minus_1,re,im"] + lines) + "\n"
+
+
+def test_table_csv_quotes_and_escapes_labels_as_one_entry_at_a_time():
+    # the row-at-a-time export builds a %-format from the labels: a % in a
+    # label must stay literal, a comma or quote must be quoted by csv_cell
+    projs = tuple(np.diag(e).astype(complex) for e in np.eye(3))
+    odd = Device(name="odd", outcomes=("50%", "a,%s", 'say "%d"'), projectors=projs)
+    system = SystemSpec(dim=3, hamiltonian=np.diag([0.0, 0.7, 1.9]) + 0.3)
+    init = State(np.full((3, 3), 1 / 3), time_tag=0.0)
+    table = biprob_table(system, Schedule(entries=((0.5, odd), (1.2, odd)), init=init))
+    lines = ["plus_0,plus_1,minus_0,minus_1,re,im"]
+    for bi, q in table.items():
+        cells = ",".join(csv_cell(label) for label in bi.plus + bi.minus)
+        lines.append(f"{cells},{q.real:.17g},{q.imag:.17g}")
+    assert table.to_csv() == "\n".join(lines) + "\n"
+    assert '"a,%s",' in table.to_csv()
 
 
 def test_gudder_metric_reproduces_table():

@@ -496,7 +496,6 @@ def test_classical_diagnostic_commuting():
     assert diag.surrogate is not None
     assert diag.surrogate.shape == (2, 2, 2)
     assert diag.consistency_error <= 1e-9
-    assert diag.consistent
     assert abs(diag.surrogate.sum() - 1.0) < 1e-12
 
 
@@ -506,14 +505,12 @@ def test_classical_diagnostic_zx():
     diag = classical_diagnostic(biprob_table(system, sched))
     assert diag.offdiag_mass == pytest.approx(0.5, abs=1e-12)
     assert diag.surrogate is None
-    assert not diag.consistent
-    csv = diag.to_csv()
-    assert csv.splitlines()[0] == "offdiag_mass,threshold,consistent"
+    assert diag.consistency_error is None
 
 
 @pytest.mark.parametrize("entry", [(3, 3), (0, 1)])
 def test_classical_diagnostic_rejects_a_nan_table(entry):
-    # a NaN mass is not "at or below the threshold": no surrogate, not consistent
+    # a NaN mass is not "at or below the threshold": no surrogate, no consistency error
     system = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
     table = biprob_table(system, Schedule(entries=((1.0, DEVZ), (2.0, DEVZ)), init=UP_STATE))
     matrix = table.matrix.copy()
@@ -522,7 +519,6 @@ def test_classical_diagnostic_rejects_a_nan_table(entry):
     assert math.isnan(diag.offdiag_mass)
     assert diag.surrogate is None
     assert diag.consistency_error is None
-    assert not diag.consistent
 
 
 # ---------------------------------------------------------------------------
