@@ -55,7 +55,7 @@ class Resolution:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_labels", tuple(self.block_labels))
         if len(blocks) != len(self.block_labels):
-            raise ValueError("one label per block required")
+            raise ValueError(f"{len(self.block_labels)} labels for {len(blocks)} blocks")
         if len(set(self.block_labels)) != len(self.block_labels):
             raise ValueError("block labels are not unique")
         if not blocks:
@@ -113,7 +113,7 @@ def coarse_device(device: Device, resolution: Resolution) -> Device:
 class CoarseSchedule:
     """Schedule whose entries may carry a resolution (None = fine readout).
 
-    Times are non-decreasing; equal times mean back-to-back projections with
+    Times are finite and non-decreasing; equal times mean back-to-back projections with
     no propagation in between.  Reads like a ``Schedule`` through ``times``,
     ``devices`` (each resolution folded in by ``coarse_device``), ``init``
     and ``digest``.
@@ -129,6 +129,8 @@ class CoarseSchedule:
             raise ValueError("schedule needs at least one entry")
         t_prev = self.init.time_tag
         for t, dev, res in entries:
+            if not math.isfinite(t):
+                raise ValueError(f"schedule time {t} is not finite")
             if t < t_prev - 1e-15:
                 raise ValueError("times must be non-decreasing and not before t0")
             if dev.dim != self.init.dim:
@@ -152,12 +154,6 @@ class CoarseSchedule:
 
     digest_payload = Schedule.digest_payload
     digest = Schedule.digest
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule) -> "CoarseSchedule":
-        """The schedule's entries, each read out fine."""
-        entries = tuple((t, dev, None) for t, dev in schedule.entries)
-        return cls(entries=entries, init=schedule.init)
 
 
 def quantum_coarse_prob(

@@ -42,9 +42,12 @@ Label = Hashable
 
 
 def _as_complex_matrix(m, what: str) -> np.ndarray:
+    """``m`` as a square complex array; ``ValueError`` on any other shape or a non-finite entry."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
     return a
 
 
@@ -266,7 +269,7 @@ def device_from_hermitian(observable, name: str) -> Device:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Positive unit-trace matrix tagged with the time it refers to.
+    """Positive unit-trace matrix tagged with the (finite) time it refers to.
 
     The matrix is understood in the same anchored picture as the device
     projectors; with ``time_tag == 0`` it is the ordinary initial density
@@ -277,6 +280,8 @@ class State:
     time_tag: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.time_tag):
+            raise ValueError(f"time tag {self.time_tag} is not finite")
         rho = _as_complex_matrix(self.density, "density")
         _check_hermitian(rho, "density")
         tr = complex(np.trace(rho))

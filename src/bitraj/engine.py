@@ -113,8 +113,8 @@ class BiSequence:
 class Schedule:
     """Measurement times with their devices, plus the initial condition.
 
-    Times are strictly increasing and all later than the initial condition's
-    time tag.
+    Times are finite, strictly increasing and all later than the initial
+    condition's time tag.
     """
 
     entries: tuple[tuple[float, Device], ...]
@@ -127,6 +127,8 @@ class Schedule:
             raise ValueError("schedule needs at least one entry")
         t_prev = self.init.time_tag
         for t, dev in entries:
+            if not math.isfinite(t):
+                raise ValueError(f"schedule time {t} is not finite")
             if t <= t_prev:
                 raise ValueError(
                     f"schedule times must be strictly increasing and after "
@@ -388,8 +390,8 @@ def _table_leaves(system: SystemSpec, schedule: Schedule) -> np.ndarray:
 
 
 #: Bytes of one block of table rows that ``marginalize_pair``, ``_abs_rows``
-#: and ``property_report`` hold at a time; the hermitianity tiles and the
-#: bi-consistency magnitudes cover an eighth of a block's entries.
+#: and ``property_report`` hold at a time; the hermitianity tiles cover an
+#: eighth of a block's entries.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -498,9 +500,8 @@ def property_report(table: BiProbTable) -> PropertyReport:
     Bi-consistency is checked at every position against a freshly recomputed
     table of the shortened schedule, not against a cached marginal.  The
     fresh table is subtracted in place from the marginal, which the report
-    owns, and the largest magnitude is taken one row block at a time through
-    a reused float buffer; each marginal/fresh pair is dropped before the
-    next position, so at most one is alive.
+    owns, and dropped before ``_abs_rows`` reads the difference, so at most
+    one marginal/fresh pair is alive.
 
     Positivity is bounded from below without an N x N eigensolve.  With ``W``
     the (N, d^2) leaves recomputed from the schedule, ``herm(Q) - W W^H =
@@ -596,20 +597,12 @@ def _max_biconsistency(table: BiProbTable) -> float:
     The fresh tables pass the size guard like any other: each is smaller than
     the table, so none fails where the table itself was built.
     """
-    widest = table.n_sequences // min(table.radices)
-    # float magnitudes of an eighth of a block's entries (at least one row) of any marginal
-    eighth = _BLOCK_BYTES // (8 * table.matrix.itemsize)
-    mags_buf = np.empty(min(widest * widest, max(widest, eighth)))
     worst = []
     for pos in range(len(table.schedule)):
         diff = marginalize_pair(table, pos).matrix
-        fresh = biprob_table(table.system, table.schedule.without(pos)).matrix
-        rows = mags_buf.size // diff.shape[1]
-        for start in range(0, diff.shape[0], rows):
-            block = diff[start:start + rows]
-            block -= fresh[start:start + rows]
-            worst.append(np.abs(block, out=mags_buf[: block.size].reshape(block.shape)).max())
-        del diff, fresh, block  # ``block`` views ``diff``; free the pair before the next
+        diff -= biprob_table(table.system, table.schedule.without(pos)).matrix
+        worst.extend(mags.max() for _, mags in _abs_rows(diff))
+        del diff  # free it before the next marginal
     return float(np.max(worst))
 
 

@@ -283,7 +283,7 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", d)
         err = self.trace_preservation_error()
-        if err > 1e-8:
+        if not err <= 1e-8:  # NaN fails too
             raise ValueError(f"map is not trace-preserving (identity moved by {err})")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -296,10 +296,6 @@ class Superoperator:
     def trace_preservation_error(self) -> float:
         ident = np.eye(self.dim, dtype=complex).flatten(order="F")
         return float(np.abs(self.matrix.conj().T @ ident - ident).max())
-
-    def is_trace_preserving(self) -> bool:
-        """The dual map fixes the identity within 1e-8."""
-        return self.trace_preservation_error() <= 1e-8
 
     def choi(self) -> np.ndarray:
         """Rearrangement whose positivity witnesses complete positivity."""

@@ -964,7 +964,7 @@ def test_integral_float_means_the_integer(tmp_path, path):
 
 
 # ---------------------------------------------------------------------------
-# json.load admits NaN and Infinity; no number leaf does
+# json.load admits NaN, Infinity and integers too large for a float; no number leaf does
 
 
 def _float_leaves(value, path=()):
@@ -977,7 +977,9 @@ def _float_leaves(value, path=()):
 
 
 @pytest.mark.parametrize(
-    "token", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+    "token",
+    [math.nan, math.inf, -math.inf, 10**400],  # float() of the 401-digit integer overflows
+    ids=["NaN", "Infinity", "-Infinity", "401-digit"],
 )
 @pytest.mark.parametrize("base", sorted(PINNED_BASES))
 def test_non_finite_number_exits_two_with_its_pointer(tmp_path, capsys, base, token):
@@ -1039,6 +1041,19 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         ("map", ("env_init", "density"), mat(np.zeros((2, 2))), "/env_init/density"),
         ("map", ("env_init", "density"), mat(np.eye(3) / 3), "/env_init/density"),
         ("compose", COUPLING_AB + ("op_b",), mat(np.eye(3)), "/composite/couplings/0/op_b"),
+        (
+            "uncertainty",
+            ("params",),
+            {"device_k": "X", "device_l": "Z", "t": 1.5e308, "dt": 1e308, "n_samples": 50},
+            "/params/dt",
+        ),
+        ("zx", ("devices", 0, "outcomes"), ["+", "-", "0"], "/devices/0"),
+        (
+            "coarse",
+            ("schedule", "entries", 0, "resolution", "labels"),
+            ["any", "all"],
+            "/schedule/entries/0/resolution",
+        ),
     ],
     ids=[
         "op_environment-shape",
@@ -1047,6 +1062,9 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         "zero-density",
         "density-shape",
         "compose-op_b-shape",
+        "t-plus-dt-overflows",
+        "outcomes-vs-projectors",
+        "labels-vs-blocks",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):

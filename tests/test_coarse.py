@@ -222,7 +222,7 @@ def test_coarse_schedule_rejects_decreasing_times():
 def test_quantum_equals_faux_for_fine_outcomes():
     # with no merging the two notions coincide
     system, sched = random_schedule(99, 3, 2)
-    cs = CoarseSchedule.from_schedule(sched)
+    cs = CoarseSchedule(entries=tuple((t, dev, None) for t, dev in sched.entries), init=sched.init)
     for a in range(3):
         for b in range(3):
             q = quantum_coarse_prob(system, cs, (a, b))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bitraj import (
+    CoarseSchedule,
     Device,
+    Schedule,
     State,
     SystemSpec,
     device_from_hermitian,
@@ -187,3 +189,41 @@ def test_dimension_cap_accepts_float_spelling(monkeypatch):
     SystemSpec(dim=10, hamiltonian=np.zeros((10, 10)))
     with pytest.raises(ValueError, match="dimension"):
         SystemSpec(dim=11, hamiltonian=np.zeros((11, 11)))
+
+
+NAN_UP = np.diag([1.0, np.nan])
+DEV_Z = Device("Z", ("u", "d"), (UP, DN))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SystemSpec(dim=2, hamiltonian=np.diag([0.0, np.nan])),
+        lambda: SystemSpec(dim=2, hamiltonian=np.diag([0.0, np.inf])),
+        lambda: Device("Z", ("u", "d"), (NAN_UP, DN)),
+        lambda: device_from_hermitian(NAN_UP, name="Z"),
+        lambda: State(NAN_UP),
+        lambda: State(UP, time_tag=np.nan),
+        lambda: State(UP, time_tag=np.inf),
+        lambda: Schedule(entries=((np.nan, DEV_Z),), init=State(UP)),
+        lambda: Schedule(entries=((1.0, DEV_Z), (np.inf, DEV_Z)), init=State(UP)),
+        lambda: CoarseSchedule(entries=((np.nan, DEV_Z, None),), init=State(UP)),
+        lambda: CoarseSchedule(entries=((1.0, DEV_Z, None), (np.inf, DEV_Z, None)), init=State(UP)),
+    ],
+    ids=[
+        "hamiltonian-nan",
+        "hamiltonian-inf",
+        "projector-nan",
+        "observable-nan",
+        "density-nan",
+        "time_tag-nan",
+        "time_tag-inf",
+        "schedule-nan",
+        "schedule-inf",
+        "coarse-schedule-nan",
+        "coarse-schedule-inf",
+    ],
+)
+def test_constructors_reject_non_finite_input(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()

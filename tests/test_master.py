@@ -151,12 +151,19 @@ def test_superoperator_rejects_non_tp():
         Superoperator(2, 0.5 * np.eye(4, dtype=complex))
 
 
+def test_superoperator_rejects_a_nan_entry():
+    # the trace-preservation error is NaN, which no bound admits
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not trace-preserving"):
+        Superoperator(2, m)
+
+
 def test_superoperator_identity():
     s = Superoperator(2, np.eye(4, dtype=complex))
     rho = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     assert np.abs(s.apply(rho) - rho).max() < 1e-14
     assert s.trace_preservation_error() < 1e-14
-    assert s.is_trace_preserving()
     # Choi operator of the identity map is the maximally entangled projector
     choi = s.choi()
     assert abs(np.trace(choi).real - 2.0) < 1e-12
@@ -353,10 +360,10 @@ def test_exact_map_obeys_the_dimension_cap(monkeypatch):
     with pytest.raises(ValueError, match="dimension 72 exceeds the cap 64"):
         dynamical_map_exact(_wide_spec(), 0.4)
     # the bi-trajectory map never builds the joint system
-    assert dynamical_map_bitraj(_wide_spec(), 0.4, 1).is_trace_preserving()
+    assert dynamical_map_bitraj(_wide_spec(), 0.4, 1).trace_preservation_error() <= 1e-8
     # only the variable lifts the cap
     monkeypatch.setenv("BITRAJ_MAX_DIM", "100")
-    assert dynamical_map_exact(_wide_spec(), 0.4).is_trace_preserving()
+    assert dynamical_map_exact(_wide_spec(), 0.4).trace_preservation_error() <= 1e-8
 
 
 # ---------------------------------------------------------------------------
