@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
@@ -33,14 +33,6 @@ from .coarse import (
     interference_term,
     pairwise_decompose,
     quantum_coarse_prob,
-)
-from .composite import (
-    CompositeSpec,
-    Coupling,
-    _check_tandem,
-    co_interference,
-    compose,
-    factorization_delta,
 )
 from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian
 from .engine import (
@@ -54,22 +46,15 @@ from .engine import (
     chain_probabilities,
     property_report,
 )
-from .lab import _check_seed, empirical_distribution, estimate_uncertainty, sample_sequences
-from .master import (
-    OpenSpec,
-    classical_diagnostic,
-    dynamical_map_bitraj,
-    dynamical_map_exact,
-)
-from .phenomena import (
-    InitSpec,
-    init_metric,
-    markov_delta,
-    uncertainty_csv,
-    uncertainty_matrix,
-    zeno_scan,
-)
 from .serialize import canonical_digest, csv_text, label_from_json, matrix_from_json, matrix_to_json
+
+if TYPE_CHECKING:
+    from .composite import Coupling
+    from .phenomena import InitSpec
+
+# Every verb builds its config with the four modules above.  The others
+# (``composite``, ``phenomena``, ``master``, ``lab``) are imported inside the
+# functions that use them, so a verb loads only its own layers.
 
 __all__ = ["main"]
 
@@ -409,6 +394,8 @@ def _build_init(
         if "density" in obj:
             return State(_matrix(obj["density"], where + "/density"), time_tag=time)
         if "weights" in obj:
+            from .phenomena import init_metric
+
             return init_metric(_build_init_spec(obj, devices, where, default_time), system)
         return State(np.eye(system.dim) / system.dim, time_tag=time)
 
@@ -452,6 +439,8 @@ def _build_init_spec(
     default_time: float = 0.0,
 ) -> InitSpec:
     """The ``weights`` form of an init section as weighted readout events."""
+    from .phenomena import InitSpec
+
     entries = []
     for j, w in enumerate(obj["weights"]):
         dev = devices.get(w["device"])
@@ -469,6 +458,8 @@ def _couplings(
     items: list[dict], key_a: str, key_b: str, where: str, dims: tuple[int, int]
 ) -> tuple[Coupling, ...]:
     """Product couplings: operators of dimensions ``dims`` under ``key_a`` and ``key_b``."""
+    from .composite import Coupling
+
     return tuple(
         Coupling(
             op_a=_operator(c[key_a], f"{where}/{i}/{key_a}", dims[0]),
@@ -481,6 +472,8 @@ def _couplings(
 
 def _seed_param(params: dict, runs: int = 1) -> int:
     """The run seed; ``runs`` sampling runs use it and the ``runs - 1`` seeds after it."""
+    from .lab import _check_seed
+
     seed = params.get("seed", 0)
     with _config_error("/params/seed"):
         _check_seed(seed, runs)
@@ -624,6 +617,11 @@ def _cmd_coarse(ctx: _Context) -> None:
         pair = tuple(label_from_json(x) for x in ctx.params["pair"])
         with _config_error("/schedule"):
             fine = Schedule(entries=tuple((t, dev) for t, dev, _ in cs.entries), init=cs.init)
+        if position >= len(cs):
+            raise CliError(
+                f"config error at /params/position: position {position} is past the "
+                f"schedule's last entry {len(cs) - 1}"
+            )
         term = interference_term(system, fine, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
@@ -643,6 +641,8 @@ def _cmd_coarse(ctx: _Context) -> None:
 
 
 def _cmd_compose(ctx: _Context) -> None:
+    from .composite import CompositeSpec, _check_tandem, co_interference, compose, factorization_delta
+
     _partner(ctx.params, "bi_a", "bi_b")
     _partner(ctx.params, "bi_b", "bi_a")
     comp = ctx.cfg["composite"]
@@ -683,11 +683,16 @@ def _cmd_compose(ctx: _Context) -> None:
 
 
 def _cmd_markov(ctx: _Context) -> None:
+    from .phenomena import markov_delta
+
     system = _build_system(ctx.cfg["system"], "/system")
     devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
     device = _device_param(ctx.params, "device", devices)
     times = [float(t) for t in ctx.params["times"]]
     init = _build_init_spec(ctx.cfg["init"], devices)
+    for i in range(1, len(times)):
+        if times[i] < times[i - 1]:
+            raise CliError(f"config error at /params/times/{i}: times must be non-decreasing")
     rep = markov_delta(system, device, times, init)
     ctx.results.update(
         {"delta": rep.delta, "excluded": rep.excluded, "checked": rep.checked}
@@ -702,11 +707,16 @@ def _cmd_markov(ctx: _Context) -> None:
 
 
 def _cmd_zeno(ctx: _Context) -> None:
+    from .phenomena import zeno_scan
+
     system = _build_system(ctx.cfg["system"], "/system")
     devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
     device = _device_param(ctx.params, "device", devices)
     outcome = label_from_json(ctx.params["outcome"])
-    series = zeno_scan(system, device, outcome, float(ctx.params["T"]), ctx.params["n_list"])
+    total = float(ctx.params["T"])
+    if total < 0:
+        raise CliError(f"config error at /params/T: the scan time {total!r} is negative")
+    series = zeno_scan(system, device, outcome, total, ctx.params["n_list"])
     ctx.results.update(
         {
             "rate": series.rate,
@@ -718,6 +728,9 @@ def _cmd_zeno(ctx: _Context) -> None:
 
 
 def _cmd_uncertainty(ctx: _Context) -> None:
+    from .lab import estimate_uncertainty
+    from .phenomena import uncertainty_csv, uncertainty_matrix
+
     _partner(ctx.params, "dt", "n_samples")
     system = _build_system(ctx.cfg["system"], "/system")
     devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
@@ -754,6 +767,8 @@ def _cmd_uncertainty(ctx: _Context) -> None:
 
 
 def _cmd_map_compare(ctx: _Context) -> None:
+    from .master import OpenSpec, dynamical_map_bitraj, dynamical_map_exact
+
     system = _build_system(ctx.cfg["system"], "/system")
     environment = _build_system(ctx.cfg["environment"], "/environment")
     couplings = _couplings(
@@ -815,6 +830,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
 
 
 def _cmd_sample(ctx: _Context) -> None:
+    from .lab import empirical_distribution, sample_sequences
+
     system, cs = _build_experiment(ctx.cfg, plain=False)
     run = sample_sequences(system, cs, ctx.params["n_samples"], _seed_param(ctx.params))
     dist = empirical_distribution(run)
@@ -854,6 +871,8 @@ def _cmd_sample(ctx: _Context) -> None:
 
 
 def _cmd_classical(ctx: _Context) -> None:
+    from .master import classical_diagnostic
+
     system, schedule = _build_experiment(ctx.cfg, plain=True)
     table = biprob_table(system, schedule)
     threshold = float(ctx.params.get("threshold", DEFAULT_TOLERANCES["classical_threshold"]))

@@ -10,9 +10,13 @@ Every Hypothesis test runs under one profile: reproducible examples
 (``derandomize``), no example database and no per-example deadline; a test's
 own ``@settings`` only sets its example count.
 
-``extra_peak`` is the one tracemalloc probe of the memory tests.
+``extra_peak`` is the one tracemalloc probe of the memory tests, and
+``fresh_stdout`` runs code in a fresh interpreter for the import tests.
 """
 
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -41,6 +45,15 @@ def extra_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def fresh_stdout(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this test run's ``sys.path``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout
 
 
 def record_verdict(name: str, ok: bool, detail: str = "") -> None:

@@ -1,10 +1,7 @@
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +9,7 @@ import pytest
 
 from bitraj.cli import _CONFIG_SHAPES, _LABEL, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
 from bitraj.serialize import canonical_digest
+from conftest import fresh_stdout
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -408,12 +406,38 @@ def test_threads_flag_is_gone(tmp_path):
 
 
 def test_cli_import_leaves_jsonschema_out():
-    code = "import sys, bitraj.cli; print('jsonschema' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    assert fresh_stdout("import sys, bitraj.cli; print('jsonschema' in sys.modules)").strip() == "False"
+
+
+def _readme_config() -> dict:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"A minimal example:\n\n```json\n(.*?)```", text, re.S).group(1))
+
+
+# modules the README verify config does not use
+UNUSED_BY_VERIFY = {
+    "bitraj.lab", "bitraj.master", "bitraj.composite", "bitraj.phenomena", "numpy.random",
+}
+
+
+@pytest.mark.parametrize(
+    "base, loaded, absent",
+    [("readme", set(), UNUSED_BY_VERIFY), ("sample", {"bitraj.lab", "numpy.random"}, set())],
+    ids=["readme-verify", "sample"],
+)
+def test_a_verb_loads_only_its_own_layers(tmp_path, base, loaded, absent):
+    cfg = _readme_config() if base == "readme" else PINNED_BASES[base]
+    argv = [cfg["command"], "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    code, modules = json.loads(
+        fresh_stdout(
+            "import json, sys, bitraj.cli\n"
+            f"code = bitraj.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))"
+        )
     )
-    assert out.stdout.strip() == "False"
+    assert code == 0
+    assert loaded <= set(modules)
+    assert not absent & set(modules)
 
 
 def test_device_needs_exactly_one_form(tmp_path, capsys):
@@ -1054,6 +1078,9 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
             ["any", "all"],
             "/schedule/entries/0/resolution",
         ),
+        ("markov", ("params", "times"), [1.1, 0.5], "/params/times/1"),
+        ("zeno", ("params", "T"), -1, "/params/T"),
+        ("coarse", ("params", "position"), 2, "/params/position"),
     ],
     ids=[
         "op_environment-shape",
@@ -1065,6 +1092,9 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         "t-plus-dt-overflows",
         "outcomes-vs-projectors",
         "labels-vs-blocks",
+        "markov-times-out-of-order",
+        "zeno-negative-T",
+        "position-past-the-schedule",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):
@@ -1072,6 +1102,17 @@ def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, poi
     code = main([cfg["command"], "--config", write_config(tmp_path, cfg)])
     assert code == 2
     assert f"config error at {pointer}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, path, value",
+    [("markov", ("params", "times"), [0.5, 0.5, 1.1]), ("zeno", ("params", "T"), 0)],
+    ids=["markov-equal-times", "zeno-zero-T"],
+)
+def test_the_edges_of_those_meaning_errors_still_run(tmp_path, base, path, value):
+    cfg = _mutated(PINNED_BASES[base], path, value)
+    code, _, _ = run(tmp_path, cfg["command"], cfg)
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
