@@ -34,7 +34,7 @@ from .coarse import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
-from .core import Device, State, SystemSpec, _env_cap, device_from_hermitian
+from .core import Device, Label, State, SystemSpec, _env_cap, device_from_hermitian
 from .engine import (
     BiSequence,
     ConsistencyError,
@@ -449,7 +449,8 @@ def _build_init_spec(
                 f"config error at {where}/weights/{j}/device: unknown device "
                 f"{w['device']!r}"
             )
-        entries.append((dev, label_from_json(w["outcome"]), float(w["weight"])))
+        outcome = _outcome(dev, w["outcome"], f"{where}/weights/{j}/outcome")
+        entries.append((dev, outcome, float(w["weight"])))
     with _config_error(where):
         return InitSpec(entries=tuple(entries), time=float(obj.get("time", default_time)))
 
@@ -495,6 +496,26 @@ def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
     if dev is None:
         raise CliError(f"config error at /params/{key}: unknown device {name!r}")
     return dev
+
+
+def _outcome(dev: Device, raw, where: str) -> Label:
+    """The config label ``raw`` at ``where``, which must be an outcome of ``dev``."""
+    label = label_from_json(raw)
+    try:
+        dev.outcome_index(label)
+    except KeyError as exc:
+        raise CliError(f"config error at {where}: {exc.args[0]}") from None
+    return label
+
+
+def _readouts(devices: tuple[Device, ...], raw: list, where: str) -> tuple[Label, ...]:
+    """The config labels ``raw`` at ``where``: one outcome of each device of a schedule."""
+    if len(raw) != len(devices):
+        raise CliError(
+            f"config error at {where}: {len(raw)} readouts for a schedule of "
+            f"{len(devices)} entries"
+        )
+    return tuple(_outcome(dev, x, f"{where}/{i}") for i, (dev, x) in enumerate(zip(devices, raw)))
 
 
 # --------------------------------------------------------------------------
@@ -579,12 +600,7 @@ def _cmd_coarse(ctx: _Context) -> None:
     _partner(ctx.params, "pair", "position")
     _partner(ctx.params, "position", "pair")
     system, cs = _build_experiment(ctx.cfg, plain=False)
-    outcomes = tuple(label_from_json(o) for o in ctx.params["outcomes"])
-    if len(outcomes) != len(cs):
-        raise CliError(
-            f"config error at /params/outcomes: {len(outcomes)} readouts for a "
-            f"schedule of {len(cs)} entries"
-        )
+    outcomes = _readouts(cs.devices, ctx.params["outcomes"], "/params/outcomes")
     quantum = quantum_coarse_prob(system, cs, outcomes)
     faux = faux_coarse_prob(system, cs, outcomes)
     ctx.results.update(
@@ -614,7 +630,6 @@ def _cmd_coarse(ctx: _Context) -> None:
 
     if "pair" in ctx.params:
         position = ctx.params["position"]
-        pair = tuple(label_from_json(x) for x in ctx.params["pair"])
         with _config_error("/schedule"):
             fine = Schedule(entries=tuple((t, dev) for t, dev, _ in cs.entries), init=cs.init)
         if position >= len(cs):
@@ -622,6 +637,11 @@ def _cmd_coarse(ctx: _Context) -> None:
                 f"config error at /params/position: position {position} is past the "
                 f"schedule's last entry {len(cs) - 1}"
             )
+        at, raw = fine.devices[position], ctx.params["pair"]
+        pair = tuple(_outcome(at, f, f"/params/pair/{i}") for i, f in enumerate(raw))
+        for i, (dev, f) in enumerate(zip(fine.devices, outcomes)):
+            if i != position:  # the entries around the pair are read fine
+                _outcome(dev, f, f"/params/outcomes/{i}")
         term = interference_term(system, fine, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
@@ -668,12 +688,12 @@ def _cmd_compose(ctx: _Context) -> None:
                 "uncoupled factors only"
             )
         bi_a = BiSequence(
-            tuple(label_from_json(x) for x in ctx.params["bi_a"]["plus"]),
-            tuple(label_from_json(x) for x in ctx.params["bi_a"]["minus"]),
+            _readouts(sched_a.devices, ctx.params["bi_a"]["plus"], "/params/bi_a/plus"),
+            _readouts(sched_a.devices, ctx.params["bi_a"]["minus"], "/params/bi_a/minus"),
         )
         bi_b = BiSequence(
-            tuple(label_from_json(x) for x in ctx.params["bi_b"]["plus"]),
-            tuple(label_from_json(x) for x in ctx.params["bi_b"]["minus"]),
+            _readouts(sched_b.devices, ctx.params["bi_b"]["plus"], "/params/bi_b/plus"),
+            _readouts(sched_b.devices, ctx.params["bi_b"]["minus"], "/params/bi_b/minus"),
         )
         phi = co_interference(sys_a, sys_b, sched_a, sched_b, bi_a, bi_b)
         ctx.results["co_interference"] = phi
@@ -712,11 +732,12 @@ def _cmd_zeno(ctx: _Context) -> None:
     system = _build_system(ctx.cfg["system"], "/system")
     devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
     device = _device_param(ctx.params, "device", devices)
-    outcome = label_from_json(ctx.params["outcome"])
+    outcome = _outcome(device, ctx.params["outcome"], "/params/outcome")
     total = float(ctx.params["T"])
     if total < 0:
         raise CliError(f"config error at /params/T: the scan time {total!r} is negative")
-    series = zeno_scan(system, device, outcome, total, ctx.params["n_list"])
+    with _config_error("/params/outcome"):  # an outcome of rank two or more
+        series = zeno_scan(system, device, outcome, total, ctx.params["n_list"])
     ctx.results.update(
         {
             "rate": series.rate,
@@ -970,16 +991,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
             ) from None
         except ConsistencyError as exc:
-            ctx.checks.append(
-                {
-                    "name": "internal_consistency",
-                    "value": None,
-                    "bound": None,
-                    "comparator": "<=",
-                    "pass": False,
-                    "message": str(exc),
-                }
-            )
+            check = _check("internal_consistency", exc.gap, exc.bound, "<=")
+            ctx.checks.append(dict(check, message=str(exc)))
 
         ok = all(c["pass"] for c in ctx.checks)
         report = {

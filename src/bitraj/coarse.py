@@ -17,10 +17,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Device, Label, State, SystemSpec
+from .core import ConsistencyError, Device, Label, State, SystemSpec, _within
 from .engine import (
     BiSequence,
-    ConsistencyError,
     Schedule,
     _guard,
     biprob,
@@ -233,10 +232,8 @@ def interference_term(
     p_minus = chain_probability(system, schedule.init, steps_minus)
     route_b = 0.5 * (p_or - p_plus - p_minus)
 
-    if abs(route_a - route_b) > 1e-10:
-        raise ConsistencyError(
-            f"interference routes disagree: {route_a} vs {route_b}"
-        )
+    what = f"interference routes disagree: {route_a} vs {route_b}"
+    _within(what, abs(route_a - route_b), 1e-10, ConsistencyError)
     return InterferenceTerm(route_a, route_b)
 
 
@@ -306,10 +303,8 @@ def pairwise_decompose(
     effs = tuple(effective)
     recurrence = expand(effs)
     direct = quantum_coarse_prob(system, schedule, outcomes)
-    if abs(recurrence - direct) > 1e-9:
-        raise ConsistencyError(
-            f"pairwise recurrence {recurrence} disagrees with direct value {direct}"
-        )
+    what = f"pairwise recurrence {recurrence} disagrees with direct value {direct}"
+    _within(what, abs(recurrence - direct), 1e-9, ConsistencyError)
     return PairwiseDecomposition(
         recurrence_value=recurrence, direct_value=direct, term_count=counter[0]
     )

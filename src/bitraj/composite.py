@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Device, Label, State, SystemSpec, tensor_device
-from .engine import BiSequence, ConsistencyError, Schedule, biprob, biprob_table
+from .core import ConsistencyError, Device, Label, State, SystemSpec, _within, tensor_device
+from .engine import BiSequence, Schedule, biprob, biprob_table
 
 __all__ = [
     "CompositeSpec",
@@ -73,10 +73,8 @@ def compose(spec: CompositeSpec) -> SystemSpec:
 
 def product_state(state_a: State, state_b: State) -> State:
     """Uncorrelated joint initial condition; the time tags must agree."""
-    if abs(state_a.time_tag - state_b.time_tag) > 1e-12:
-        raise ValueError(
-            f"time tags differ: {state_a.time_tag} vs {state_b.time_tag}"
-        )
+    ta, tb = state_a.time_tag, state_b.time_tag
+    _within(f"time tags differ: {ta} vs {tb}", abs(ta - tb), 1e-12)
     return State(np.kron(state_a.density, state_b.density), time_tag=state_a.time_tag)
 
 
@@ -85,8 +83,7 @@ def _check_tandem(sched_a: Schedule, sched_b: Schedule) -> None:
     if len(sched_a) != len(sched_b):
         raise ValueError("tandem schedules must have the same number of entries")
     for ta, tb in zip(sched_a.times, sched_b.times):
-        if abs(ta - tb) > 1e-12:
-            raise ValueError(f"tandem schedules must share times; got {ta} vs {tb}")
+        _within(f"tandem schedules must share times; got {ta} vs {tb}", abs(ta - tb), 1e-12)
 
 
 def _tandem_schedule(
@@ -167,10 +164,8 @@ def co_interference(
     q_b = biprob(spec_b, sched_b, bi_b)
     phi = float(q_joint.real - q_a.real * q_b.real)
     expected = -float(q_a.imag * q_b.imag)
-    if abs(phi - expected) > 1e-10:
-        raise ConsistencyError(
-            f"co-interference {phi} deviates from -Im*Im = {expected}"
-        )
+    what = f"co-interference {phi} deviates from -Im*Im = {expected}"
+    _within(what, abs(phi - expected), 1e-10, ConsistencyError)
     return phi
 
 

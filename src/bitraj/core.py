@@ -20,6 +20,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "ConsistencyError",
     "DEFAULT_DIM_CAP",
     "Device",
     "State",
@@ -41,6 +42,28 @@ DEGENERACY_RTOL = 1e-9
 Label = Hashable
 
 
+class ConsistencyError(RuntimeError):
+    """Two routes that must agree did not, or a computed quantity left its range.
+
+    Indicates a numerical breakdown.  ``gap`` is the deviation measured and
+    ``bound`` the largest allowed, as ``_within`` compares them (a NaN gap
+    fails); both are NaN where the failed check measures no single deviation.
+    """
+
+    gap: float = math.nan
+    bound: float = math.nan
+
+
+def _within(what: str, gap, bound, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``gap <= bound``, so a NaN gap fails; the message is
+    ``what`` with the gap and the bound appended, which the error also carries."""
+    gap, bound = float(gap), float(bound)
+    if not gap <= bound:
+        exc = error(f"{what} (gap {gap!r}, bound {bound!r})")
+        exc.gap, exc.bound = gap, bound
+        raise exc
+
+
 def _as_complex_matrix(m, what: str) -> np.ndarray:
     """``m`` as a square complex array; ``ValueError`` on any other shape or a non-finite entry."""
     a = np.asarray(m, dtype=complex)
@@ -54,8 +77,7 @@ def _as_complex_matrix(m, what: str) -> np.ndarray:
 def _check_hermitian(a: np.ndarray, what: str) -> None:
     """Raise ``ValueError`` unless ``|a - a^dag| <= 1e-10 * max(1, max|a|)`` entrywise."""
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError(f"{what} is not Hermitian within tolerance 1e-10")
+    _within(f"{what} is not Hermitian", np.abs(a - a.conj().T).max(initial=0.0), 1e-10 * scale)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -180,43 +202,33 @@ def validate_device(device: Device) -> None:
     (each entrywise within 1e-10), label uniqueness and (when a basis is
     attached) that the basis columns reproduce the projectors within 1e-9.
     """
-    tol = 1e-10
-    if len(device.outcomes) != len(device.projectors):
-        raise ValueError(f"device {device.name!r}: {len(device.outcomes)} labels for "
-                         f"{len(device.projectors)} projectors")
-    if len(set(device.outcomes)) != len(device.outcomes):
-        raise ValueError(f"device {device.name!r}: outcome labels are not unique")
-    if not device.projectors:
-        raise ValueError(f"device {device.name!r}: no projectors")
-    d = device.projectors[0].shape[0]
-    for label, p in zip(device.outcomes, device.projectors):
+    tol, name = 1e-10, f"device {device.name!r}"
+    labels, projs = device.outcomes, device.projectors
+    if len(labels) != len(projs):
+        raise ValueError(f"{name}: {len(labels)} labels for {len(projs)} projectors")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{name}: outcome labels are not unique")
+    if not projs:
+        raise ValueError(f"{name}: no projectors")
+    d = projs[0].shape[0]
+    for label, p in zip(labels, projs):
         if p.shape != (d, d):
-            raise ValueError(f"device {device.name!r}: projector shapes differ")
-        if np.abs(p - p.conj().T).max() > tol:
-            raise ValueError(f"device {device.name!r}: projector {label!r} is not Hermitian")
-        if np.abs(p @ p - p).max() > tol:
-            raise ValueError(f"device {device.name!r}: projector {label!r} is not idempotent")
-    for i in range(len(device.projectors)):
-        for j in range(i + 1, len(device.projectors)):
-            if np.abs(device.projectors[i] @ device.projectors[j]).max() > tol:
-                raise ValueError(
-                    f"device {device.name!r}: projectors {device.outcomes[i]!r} and "
-                    f"{device.outcomes[j]!r} are not orthogonal"
-                )
-    total = sum(device.projectors)
-    if np.abs(total - np.eye(d)).max() > tol:
-        raise ValueError(f"device {device.name!r}: projectors do not sum to the identity")
+            raise ValueError(f"{name}: projector shapes differ")
+        _within(f"{name}: projector {label!r} is not Hermitian", np.abs(p - p.conj().T).max(), tol)
+        _within(f"{name}: projector {label!r} is not idempotent", np.abs(p @ p - p).max(), tol)
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            what = f"{name}: projectors {labels[i]!r} and {labels[j]!r} are not orthogonal"
+            _within(what, np.abs(projs[i] @ projs[j]).max(), tol)
+    gap = np.abs(sum(projs) - np.eye(d)).max()
+    _within(f"{name}: projectors do not sum to the identity", gap, tol)
     if device.basis is not None:
         b = device.basis
-        if b.shape != (d, len(device.outcomes)):
-            raise ValueError(f"device {device.name!r}: basis shape {b.shape} inconsistent")
-        for k, p in enumerate(device.projectors):
-            col = b[:, k]
-            if np.abs(np.outer(col, col.conj()) - p).max() > 1e-9:
-                raise ValueError(
-                    f"device {device.name!r}: basis column {k} does not span projector "
-                    f"{device.outcomes[k]!r}"
-                )
+        if b.shape != (d, len(labels)):
+            raise ValueError(f"{name}: basis shape {b.shape} inconsistent")
+        for k, (label, p) in enumerate(zip(labels, projs)):
+            gap = np.abs(np.outer(b[:, k], b[:, k].conj()) - p).max()
+            _within(f"{name}: basis column {k} does not span projector {label!r}", gap, 1e-9)
 
 
 def _eigen_groups(w: np.ndarray, scale: float | None = None) -> list[list[int]]:
@@ -285,11 +297,9 @@ class State:
         rho = _as_complex_matrix(self.density, "density")
         _check_hermitian(rho, "density")
         tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        _within(f"density matrix trace {tr} is not 1", abs(tr - 1.0), 1e-10)
+        lowest = np.linalg.eigvalsh(rho).min()
+        _within(f"density matrix has negative eigenvalue {lowest:.3e}", -lowest, 1e-10)
         object.__setattr__(self, "density", _frozen_array(rho))
 
     @property

@@ -36,7 +36,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import core
-from .core import Device, Label, State, SystemSpec, _env_cap, _heisenberg
+from .core import ConsistencyError, Device, Label, State, SystemSpec, _env_cap, _heisenberg
+from .core import _within
 from .serialize import canonical_digest, csv_cell, label_to_json, matrix_to_json
 
 __all__ = [
@@ -62,10 +63,6 @@ DEFAULT_MAX_TABLE_ENTRIES = 10_000_000
 
 def max_table_entries() -> int:
     return _env_cap("BITRAJ_MAX_TABLE") or DEFAULT_MAX_TABLE_ENTRIES
-
-
-class ConsistencyError(RuntimeError):
-    """Two routes that must agree did not; indicates a numerical breakdown."""
 
 
 class TableSizeError(ValueError):
@@ -625,8 +622,7 @@ def gudder_metric(table: BiProbTable) -> GudderMetric:
     """
     herm = 0.5 * (table.matrix + table.matrix.conj().T)
     trace = float(np.trace(herm).real)
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"table trace {trace} deviates from 1 beyond 1e-10")
+    _within(f"table trace {trace} deviates from 1", abs(trace - 1.0), 1e-10)
     eigvals = np.linalg.eigvalsh(herm)
     floor = 1e-10 * max(1.0, float(eigvals.max(initial=0.0)))
     rank = int((eigvals > floor).sum())
@@ -673,10 +669,7 @@ def uniform_bound_check(
         entries = tuple((t, device) for t in times)
         table = biprob_table(system, Schedule(entries=entries, init=init))
         l1 = _mass(table.matrix)
-        if l1 > bound * (1 + 1e-12):
-            raise ValueError(
-                f"computed mass {l1} at grid n={n} exceeds the analytic bound {bound}"
-            )
+        _within(f"computed mass at grid n={n} exceeds the analytic bound", l1, bound * (1 + 1e-12))
         series.append(l1)
         sizes.append(n)
     return UniformBoundReport(grid_sizes=tuple(sizes), l1_series=tuple(series), bound=bound)

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .coarse import CoarseSchedule, Resolution, _block_label
-from .core import Device, Label, State, SystemSpec, heisenberg_projectors
+from .core import ConsistencyError, Device, Label, State, SystemSpec, heisenberg_projectors
 from .engine import Schedule
 from .phenomena import uncertainty_matrix
 from .serialize import csv_cell, csv_text, label_to_json
@@ -161,9 +161,10 @@ class _Nodes:
         probs = np.array([_born(self.projs, rho) for rho in rhos])
         np.clip(probs, 0.0, None, out=probs)
         total = probs.sum(axis=1)
-        if (total <= 1e-300).any():
-            raise RuntimeError(
-                "all readout branches vanished mid-chain; the projector chain is inconsistent"
+        if not (total > 1e-300).all():  # NaN weights fail too
+            raise ConsistencyError(
+                "all readout branches vanished mid-chain, or their weights are not finite; "
+                "the projector chain is inconsistent"
             )
         keep = probs > 1e-300
         order = np.argsort(~keep, axis=1, kind="stable")  # survivors first, in order

@@ -21,6 +21,7 @@ import numpy as np
 
 from .composite import CompositeSpec, Coupling, compose
 from .core import (
+    ConsistencyError,
     Device,
     State,
     SystemSpec,
@@ -29,11 +30,11 @@ from .core import (
     _expm_herm,
     _heisenberg,
     device_from_hermitian,
+    _within,
     propagator,
 )
 from .engine import (
     BiProbTable,
-    ConsistencyError,
     Schedule,
     _guard,
     _leaves,
@@ -103,9 +104,8 @@ class CoordTau:
         s = np.asarray(self.basis, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("coordinate basis must be a square matrix")
-        dev = np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()
-        if dev > 1e-10:
-            raise ValueError(f"coordinate basis unitarity off by {dev}")
+        gap = np.abs(s.conj().T @ s - np.eye(s.shape[0])).max()
+        _within("coordinate basis is not unitary", gap, 1e-10)
         s.setflags(write=False)
         object.__setattr__(self, "basis", s)
 
@@ -282,9 +282,7 @@ class Superoperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", d)
-        err = self.trace_preservation_error()
-        if not err <= 1e-8:  # NaN fails too
-            raise ValueError(f"map is not trace-preserving (identity moved by {err})")
+        _within("map is not trace-preserving", self.trace_preservation_error(), 1e-8)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -352,11 +350,8 @@ def _env_blocks(spec: OpenSpec) -> list[tuple[tuple[float, ...], np.ndarray]]:
         for j in range(i + 1, len(ops)):
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
             scale = max(1.0, float(np.abs(ops[i]).max() * np.abs(ops[j]).max()))
-            if np.abs(comm).max() > 1e-10 * scale:
-                raise ValueError(
-                    "environment coupling observables do not commute; "
-                    "no joint eigen-readout exists"
-                )
+            what = "environment coupling observables do not commute; no joint eigen-readout exists"
+            _within(what, np.abs(comm).max(), 1e-10 * scale)
     basis = np.eye(d, dtype=complex)
     blocks: list[list[int]] = [list(range(d))]
     for f in ops:
@@ -519,10 +514,8 @@ def two_time_commutator(
     direct = complex(np.trace(op @ state.density))
 
     scale = max(1.0, float(np.linalg.norm(f1, 2) * np.linalg.norm(f2, 2)))
-    if abs(direct - from_biprob) > 1e-10 * scale:
-        raise ConsistencyError(
-            f"moment routes disagree: {direct} vs {from_biprob}"
-        )
+    what = f"moment routes disagree: {direct} vs {from_biprob}"
+    _within(what, abs(direct - from_biprob), 1e-10 * scale, ConsistencyError)
     return CommutatorMoment(direct=direct, from_biprob=from_biprob)
 
 

@@ -19,16 +19,18 @@ import numpy as np
 
 from .coarse import CoarseSchedule
 from .core import (
+    ConsistencyError,
     Device,
     Label,
     State,
     SystemSpec,
     _fine_basis_columns,
     _heisenberg,
+    _within,
     heisenberg_projectors,
     propagator,
 )
-from .engine import ConsistencyError, Schedule, chain_probabilities, chain_probability
+from .engine import Schedule, chain_probabilities, chain_probability
 from .serialize import csv_cell, csv_text
 
 __all__ = [
@@ -75,8 +77,7 @@ class InitSpec:
                 )
             dev.outcome_index(lab)
             total += w
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"initialization weights sum to {total}, not 1")
+        _within(f"initialization weights sum to {total}, not 1", abs(total - 1.0), 1e-12)
 
 
 def init_metric(init: InitSpec, system: SystemSpec) -> State:
@@ -116,7 +117,7 @@ def conditional_prob(
     steps.append((schedule.times[-1], last.projectors))
     joint = chain_probabilities(system, schedule.init, steps)
     prefix = joint.sum()
-    if prefix <= 1e-14:
+    if not prefix > 1e-14:
         raise ValueError("conditioning on a null event")
     return float(joint[last.outcome_index(query)] / prefix)
 
@@ -207,8 +208,7 @@ def zeno_scan(
     the freezing of the readout under frequent observation.
     """
     proj = device.projector_for(outcome)
-    if abs(float(np.trace(proj).real) - 1.0) > 1e-9:
-        raise ValueError("survival scans need a rank-one readout")
+    _within("survival scans need a rank-one readout", abs(np.trace(proj).real - 1.0), 1e-9)
     init = State(np.array(proj, copy=True), time_tag=0.0)
     survival = []
     for n in n_list:
@@ -237,8 +237,8 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     asserted as well.
     """
     proj = device.projector_for(outcome)
-    if abs(float(np.trace(proj).real) - 1.0) > 1e-9:
-        raise ValueError("decay rate is defined for rank-one readouts only")
+    what = "decay rate is defined for rank-one readouts only"
+    _within(what, abs(np.trace(proj).real - 1.0), 1e-9)
     (pt,) = _heisenberg(system, (proj,), t)
     w, v = np.linalg.eigh(pt)
     psi = v[:, -1]
@@ -257,17 +257,14 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     d1 = 1.0 - survival(h)
     d2 = 1.0 - survival(2.0 * h)
     linear = (4.0 * d1 - d2) / (2.0 * h)
-    if abs(linear) > 1e-5 * max(1.0, hnorm**3):
-        raise ConsistencyError(
-            f"survival linear term {linear} does not vanish for {outcome!r}"
-        )
+    what = f"survival linear term {linear} does not vanish for {outcome!r}"
+    _within(what, abs(linear), 1e-5 * max(1.0, hnorm**3), ConsistencyError)
     fd = 2.0 * d1 / h**2 - d2 / (2.0 * h) ** 2
     # at this step the round-off in fd grows like ||H||^2; an allowance growing
     # like ||H||^4 would pass any fd once ||H|| exceeds about 3e3
-    if abs(fd - var) > 1e-4 * var + 1e-7 * max(1.0, min(hnorm**4, 10.0 * hnorm**2)):
-        raise ConsistencyError(
-            f"finite-difference rate^2 {fd} disagrees with the variance {var}"
-        )
+    allowance = 1e-4 * var + 1e-7 * max(1.0, min(hnorm**4, 10.0 * hnorm**2))
+    what = f"finite-difference rate^2 {fd} disagrees with the variance {var}"
+    _within(what, abs(fd - var), allowance, ConsistencyError)
     return math.sqrt(var)
 
 
@@ -293,9 +290,8 @@ def uncertainty_matrix(
         return np.abs(m.T) ** 2
 
     c = overlaps(t)
-    drift = float(np.abs(c - overlaps(t + 1.0)).max())
-    if drift > 1e-10:
-        raise ConsistencyError(f"overlap matrix drifted by {drift} between times")
+    drift = np.abs(c - overlaps(t + 1.0)).max()
+    _within("overlap matrix drifted between times", drift, 1e-10, ConsistencyError)
     return c
 
 

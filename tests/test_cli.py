@@ -1115,6 +1115,87 @@ def test_the_edges_of_those_meaning_errors_still_run(tmp_path, base, path, value
     assert code == 0
 
 
+QUTRIT_ZENO = dict(
+    PINNED_BASES["zeno"],
+    system={"dim": 3, "hamiltonian": mat(np.zeros((3, 3)))},
+    devices=[
+        {
+            "name": "C",
+            "outcomes": ["a", "bc"],
+            "projectors": [mat(np.diag([1.0, 0, 0])), mat(np.diag([0, 1.0, 1.0]))],
+        }
+    ],
+    params={"device": "C", "outcome": "a", "T": 1.0, "n_list": [1, 10]},
+)
+COARSE_AT_Z = {"outcomes": ["any", "u"], "pair": ["u", "d"], "position": 1}
+BI_B = ("params", "bi_b")
+LABEL_BASES = dict(PINNED_BASES, qutrit_zeno=QUTRIT_ZENO)
+
+
+@pytest.mark.parametrize(
+    "base, path, value, message",
+    [
+        ("coarse", ("params", "outcomes", 0), "zz", "/params/outcomes/0: device 'X|any' has no"),
+        ("coarse", ("params", "outcomes", 1), "zz", "/params/outcomes/1: device 'Z' has no"),
+        ("coarse", ("params", "pair", 1), "zz", "/params/pair/1: device 'X' has no"),
+        # beside the pair every entry is read fine, and the fine X has no "any"
+        ("coarse", ("params",), COARSE_AT_Z, "/params/outcomes/0: device 'X' has no outcome"),
+        ("cointerference", BI_A + ("plus", 0), "zz", "/params/bi_a/plus/0: device 'X' has no"),
+        ("cointerference", BI_A + ("minus", 0), "zz", "/params/bi_a/minus/0: device 'X' has no"),
+        ("cointerference", BI_B + ("plus", 0), "zz", "/params/bi_b/plus/0: device 'Z' has no"),
+        ("cointerference", BI_B + ("minus", 0), "zz", "/params/bi_b/minus/0: device 'Z' has no"),
+        ("cointerference", BI_B + ("minus",), ["u", "u"], "/params/bi_b/minus: 2 readouts"),
+        ("zeno", ("params", "outcome"), "zz", "/params/outcome: device 'Z' has no"),
+        ("markov", W0 + ("outcome",), "zz", "/init/weights/0/outcome: device 'Z' has no"),
+        ("qutrit_zeno", ("params", "outcome"), "bc", "/params/outcome: survival scans need"),
+    ],
+    ids=[
+        "coarse-outcome-0",
+        "coarse-outcome-1",
+        "coarse-pair-1",
+        "coarse-label-beside-the-pair",
+        "bi_a-plus-0",
+        "bi_a-minus-0",
+        "bi_b-plus-0",
+        "bi_b-minus-0",
+        "bi_b-minus-length",
+        "zeno-outcome",
+        "markov-init-outcome",
+        "zeno-rank-two-outcome",
+    ],
+)
+def test_an_unusable_label_exits_two_at_its_pointer(tmp_path, capsys, base, path, value, message):
+    cfg = _mutated(LABEL_BASES[base], path, value)
+    code = main([cfg["command"], "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert f"config error at {message}" in capsys.readouterr().err
+
+
+def test_the_qutrit_zeno_base_runs(tmp_path):
+    assert run(tmp_path, "zeno", QUTRIT_ZENO)[0] == 0
+
+
+def test_a_failed_self_check_reports_its_gap_and_bound(tmp_path, monkeypatch):
+    from bitraj import coarse
+
+    monkeypatch.setattr(coarse, "biprob", lambda *a: complex(0.5))  # the route reads 0.25
+    code, report, _ = run(tmp_path, "coarse", PINNED_BASES["coarse"])
+    assert code == 1 and report["ok"] is False
+    (check,) = [c for c in report["checks"] if not c["pass"]]
+    assert check["name"] == "internal_consistency"
+    assert math.isfinite(check["value"]) and check["value"] > check["bound"] == 1e-10
+    assert check["message"].startswith("interference routes disagree: 0.5 vs 0.25")
+
+
+def test_a_nan_propagator_fails_the_sample_self_check(tmp_path):
+    # 4 * 1.7e308 overflows the phase of exp(-i t H), so the second readout's weights are NaN
+    cfg = _mutated(SAMPLE_BASE, ("system", "hamiltonian"), mat(4 * SX))
+    cfg["schedule"]["entries"][1]["time"] = 1.7e308
+    code, report, _ = run(tmp_path, "sample", cfg)
+    assert code == 1 and report["ok"] is False
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["internal_consistency"]
+
+
 # ---------------------------------------------------------------------------
 # each verb takes only the keys it reads: a key another verb reads is rejected
 
