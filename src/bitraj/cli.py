@@ -34,7 +34,8 @@ from .coarse import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
-from .core import Device, Label, State, SystemSpec, _env_cap, device_from_hermitian
+from .core import Device, Label, State, SystemSpec, _env_cap, _system_eig, propagator
+from .core import device_from_hermitian
 from .engine import (
     BiSequence,
     ConsistencyError,
@@ -319,7 +320,16 @@ def _operator(obj, where: str, dim: int) -> np.ndarray:
 def _build_system(obj: dict, where: str) -> SystemSpec:
     h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
     with _config_error(where):
-        return SystemSpec(dim=obj["dim"], hamiltonian=h)
+        system = SystemSpec(dim=obj["dim"], hamiltonian=h)
+    with _config_error(where + "/hamiltonian"):  # an eigensolve that fails or overflows
+        _system_eig(system)
+    return system
+
+
+def _check_time(system: SystemSpec, t: float, where: str) -> None:
+    """Reject the time at ``where`` when a phase ``t * w`` of its propagator leaves float range."""
+    with _config_error(where):
+        propagator(system, t)
 
 
 def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]:
@@ -424,6 +434,7 @@ def _build_experiment(
         res = None
         if "resolution" in e:
             res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
+        _check_time(system, e["time"], ptr + "/time")
         entries.append((float(e["time"]), dev, res))
     with _config_error(where):
         cs = CoarseSchedule(entries=tuple(entries), init=init)
@@ -630,19 +641,21 @@ def _cmd_coarse(ctx: _Context) -> None:
 
     if "pair" in ctx.params:
         position = ctx.params["position"]
+        # the pair's own entry is read fine, every other entry as the schedule reads it
+        entries = tuple(
+            (t, fine if i == position else dev)
+            for i, ((t, fine, _), dev) in enumerate(zip(cs.entries, cs.devices))
+        )
         with _config_error("/schedule"):
-            fine = Schedule(entries=tuple((t, dev) for t, dev, _ in cs.entries), init=cs.init)
+            mixed = Schedule(entries=entries, init=cs.init)
         if position >= len(cs):
             raise CliError(
                 f"config error at /params/position: position {position} is past the "
                 f"schedule's last entry {len(cs) - 1}"
             )
-        at, raw = fine.devices[position], ctx.params["pair"]
+        at, raw = mixed.devices[position], ctx.params["pair"]
         pair = tuple(_outcome(at, f, f"/params/pair/{i}") for i, f in enumerate(raw))
-        for i, (dev, f) in enumerate(zip(fine.devices, outcomes)):
-            if i != position:  # the entries around the pair are read fine
-                _outcome(dev, f, f"/params/outcomes/{i}")
-        term = interference_term(system, fine, position, pair, outcomes)
+        term = interference_term(system, mixed, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
             "from_probabilities": term.from_probabilities,
@@ -710,9 +723,11 @@ def _cmd_markov(ctx: _Context) -> None:
     device = _device_param(ctx.params, "device", devices)
     times = [float(t) for t in ctx.params["times"]]
     init = _build_init_spec(ctx.cfg["init"], devices)
-    for i in range(1, len(times)):
-        if times[i] < times[i - 1]:
+    _check_time(system, init.time, "/init/time")
+    for i, t in enumerate(times):
+        if i and t < times[i - 1]:
             raise CliError(f"config error at /params/times/{i}: times must be non-decreasing")
+        _check_time(system, t, f"/params/times/{i}")
     rep = markov_delta(system, device, times, init)
     ctx.results.update(
         {"delta": rep.delta, "excluded": rep.excluded, "checked": rep.checked}
@@ -736,6 +751,7 @@ def _cmd_zeno(ctx: _Context) -> None:
     total = float(ctx.params["T"])
     if total < 0:
         raise CliError(f"config error at /params/T: the scan time {total!r} is negative")
+    _check_time(system, total, "/params/T")
     with _config_error("/params/outcome"):  # an outcome of rank two or more
         series = zeno_scan(system, device, outcome, total, ctx.params["n_list"])
     ctx.results.update(
@@ -759,6 +775,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     dev_l = _device_param(ctx.params, "device_l", devices)
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
+    _check_time(system, t, "/params/t")
     exact = uncertainty_matrix(system, dev_k, dev_l, t)
     row_gap = float(np.abs(exact.sum(axis=0) - 1.0).max())
     col_gap = float(np.abs(exact.sum(axis=1) - 1.0).max())

@@ -129,14 +129,24 @@ class SystemSpec:
 
 @lru_cache(maxsize=512)
 def _system_eig(system: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(system.hamiltonian)
+    """``eigh`` of the Hamiltonian; ``ValueError`` if it fails or returns a non-finite value."""
+    try:
+        w, v = np.linalg.eigh(system.hamiltonian)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"the hamiltonian's eigensolve failed: {exc}") from None
+    if not (np.isfinite(w).all() and np.isfinite(v).all()):
+        raise ValueError("the hamiltonian's eigensolve returned a non-finite value")
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
 
 
 def _expm_herm(w: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """``exp(-1j * scale * H)`` from the eigendecomposition ``H = v diag(w) v^dag``."""
+    """``exp(-1j * scale * H)`` from the eigendecomposition ``H = v diag(w) v^dag``;
+    ``ValueError`` when a phase ``scale * w`` is not finite (every entry would be NaN)."""
+    scale = float(scale)
+    if not math.isfinite(scale * max(map(abs, w.tolist()))):
+        raise ValueError(f"exp(-i s H) at s = {scale!r}: s times an eigenvalue of H is not finite")
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 

@@ -14,11 +14,13 @@ sqrt(rho)`` one has ``Q(f+, f-) = <vec W(f-), vec W(f+)>``, which makes
 positive semi-definiteness manifest and keeps the cost linear in the number of
 sequences.  ``property_report`` checks positivity through the same factor: its
 ``min_gram_eigenvalue`` is the certified lower bound
-``lambda_min(W W^H) - ||Q - W W^H||_F`` from a d^2 x d^2 eigensolve, and its
+``lambda_min(W W^H) - ||Q - W W^H||_F`` from a d^2 x d^2 eigensolve.  Its
 other witnesses are maxima and sums streamed through reused buffers of at
 most one block, so no temporary is the size of the table.  Every pass over
-``|Q|`` reads one row block at a time; the mass ``sum |Q|`` adds the block
-sums in row order, so its bits follow the block partition, within a relative
+``|Q|`` reads one row block at a time (``_abs_rows``), and the report walks
+the table once: each row block adds its mass, its Gram residual and its
+causality maximum.  The mass ``sum |Q|`` adds the block sums in row order,
+so its bits follow the block partition, within a relative
 ``(B + 40) * 2^-53`` of the exact sum over B blocks.  Bi-consistency compares
 each blocked, fixed-order ``marginalize_pair`` with a fresh shorter table,
 diffed in place and reduced one row block at a time.
@@ -386,9 +388,8 @@ def _table_leaves(system: SystemSpec, schedule: Schedule) -> np.ndarray:
     return leaves.reshape(leaves.shape[0], -1)
 
 
-#: Bytes of one block of table rows that ``marginalize_pair``, ``_abs_rows``
-#: and ``property_report`` hold at a time; the hermitianity tiles cover an
-#: eighth of a block's entries.
+#: Bytes of one block of table rows that ``marginalize_pair`` and ``_abs_rows``
+#: hold at a time; the hermitianity tiles cover an eighth of a block's entries.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -505,12 +506,14 @@ def property_report(table: BiProbTable) -> PropertyReport:
     herm(Q - W W^H)`` and ``||herm X||_2 <= ||X||_F``, so by Weyl's inequality
     ``lambda_min(herm Q) >= lambda_min(W W^H) - ||Q - W W^H||_F``.  The first
     term comes from ``W W^H`` when N <= d^2 and otherwise is
-    ``min(0, lambda_min(W^H W))`` (the nonzero spectra agree).  The residual
-    is accumulated over row blocks of ``Q`` in one reused block buffer, the
-    mass (block sums in row order) and the causality witness come from one
-    pass of ``_abs_rows`` and the hermitianity witness from
-    ``_max_hermitianity``'s tiles, so no temporary is the size of the table
-    and at most one block buffer is alive.
+    ``min(0, lambda_min(W^H W))`` (the nonzero spectra agree).
+
+    One walk of ``_abs_rows`` over the row blocks of ``Q`` gives the mass and
+    the squared residual ``||Q - W W^H||_F^2`` (each the block sums added in
+    row order) and the causality witness; the hermitianity
+    witness comes from ``_max_hermitianity``'s tiles.  So no temporary is the
+    size of the table: the walk holds the reader's float block and one
+    complex residual block.
     """
     m = table.matrix
     normalization_error = abs(complex(m.sum()) - 1.0)
@@ -520,36 +523,28 @@ def property_report(table: BiProbTable) -> PropertyReport:
     else:
         max_biconsistency = _max_biconsistency(table)
 
+    flat = _table_leaves(table.system, table.schedule)
+    flat_h = flat.conj().T
+    if table.n_sequences <= flat.shape[1]:
+        spectrum = float(np.linalg.eigvalsh(flat @ flat_h).min())
+    else:
+        spectrum = min(0.0, float(np.linalg.eigvalsh(flat_h @ flat).min()))
+
     last_r = table.radices[-1]
-    l1 = 0.0
+    l1 = residual_sq = 0.0
     off_last = []
     for start, mags in _abs_rows(m):
+        rows = slice(start, start + len(mags))
+        resid = flat[rows] @ flat_h
+        resid -= m[rows]
+        residual_sq += float(np.vdot(resid, resid).real)
+        del resid  # free it before the next block's is formed
         l1 += mags.sum()
         # zero the pairs whose branches end in the same outcome: row = column (mod r)
         for j in range(last_r):
             mags[(j - start) % last_r::last_r, j::last_r] = 0.0
         off_last.append(mags.max())
-    del mags  # a view of the reader's buffer; free it before the residual block
     max_causality = float(np.max(off_last))
-
-    total = table.n_sequences
-    flat = _table_leaves(table.system, table.schedule)
-    flat_h = flat.conj().T
-    if total <= flat.shape[1]:
-        spectrum = float(np.linalg.eigvalsh(flat @ flat_h).min())
-    else:
-        spectrum = min(0.0, float(np.linalg.eigvalsh(flat_h @ flat).min()))
-
-    rows = max(1, _BLOCK_BYTES // m[0].nbytes)
-    block = np.empty(min(rows, total) * total, dtype=flat.dtype)
-    residual_sq = 0.0
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        resid = block[: (stop - start) * total].reshape(-1, total)
-        np.matmul(flat[start:stop], flat_h, out=resid)
-        resid -= m[start:stop]
-        residual_sq += float(np.vdot(resid, resid).real)
-    del block, resid  # free the block before the hermitianity tiles
     min_gram = spectrum - math.sqrt(residual_sq)
 
     neg = -float(m.diagonal().real.min())

@@ -39,7 +39,9 @@ from .engine import (
     _guard,
     _leaves,
     _mass,
+    _sum_in_order,
     biprob_table,
+    chain_probabilities,
 )
 from .serialize import matrix_to_json
 
@@ -376,19 +378,6 @@ def _env_blocks(spec: OpenSpec) -> list[tuple[tuple[float, ...], np.ndarray]]:
     return out
 
 
-def _pairwise_sum(items: list[np.ndarray]) -> np.ndarray:
-    """Index-ascending pairwise-tree reduction; bit-stable by construction."""
-    work = list(items)
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(work[i] + work[i + 1])
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
 def dynamical_map_bitraj(
     spec: OpenSpec,
     t: float,
@@ -446,12 +435,9 @@ def dynamical_map_bitraj(
     env_eig = np.linalg.eigh(spec.environment.hamiltonian)
     u_env = _expm_herm(*env_eig, dt)
     u_env_half = _expm_herm(*env_eig, dt / 2.0)
-    a_full = _pairwise_sum(
-        [np.kron(su, proj @ u_env) for su, (_, proj) in zip(slice_u, blocks)]
-    )
-    a_half = _pairwise_sum(
-        [np.kron(su, proj @ u_env_half) for su, (_, proj) in zip(slice_u, blocks)]
-    )
+    a_full, a_half = (np.empty((d_o * d_e, d_o * d_e), dtype=complex) for _ in range(2))
+    for a, step in ((a_full, u_env), (a_half, u_env_half)):
+        _sum_in_order([np.kron(su, proj @ step) for su, (_, proj) in zip(slice_u, blocks)], a)
     b = np.linalg.matrix_power(a_full, n - 1) @ a_half
     b4 = b.reshape(d_o, d_e, d_o, d_e)
     m = np.zeros((d_o * d_o, d_o * d_o), dtype=complex)
@@ -527,8 +513,8 @@ class ClassicalDiagnostic:
     (hermitianity makes the two orderings redundant).  When the mass is at or
     below the threshold (a NaN mass never is) the diagonal is returned as a
     single-trajectory probability table (shaped by the per-entry outcome
-    counts), together with the largest marginalization gap against freshly
-    computed shorter tables.
+    counts), together with the largest marginalization gap against the
+    chain probabilities of each shorter schedule, computed afresh.
     """
 
     offdiag_mass: float
@@ -561,11 +547,12 @@ def classical_diagnostic(table: BiProbTable, threshold: float = 1e-8) -> Classic
     if len(radices) == 1:
         gaps = [abs(float(surrogate.sum()) - 1.0)]
     else:
+        steps = [(t, dev.projectors) for t, dev in table.schedule.entries]
         gaps = []
         for pos in range(len(radices)):
-            shorter = biprob_table(table.system, table.schedule.without(pos))
-            ref = shorter.matrix.diagonal().real.reshape(radices[:pos] + radices[pos + 1:])
-            gaps.append(np.abs(surrogate.sum(axis=pos) - ref).max())
+            shorter = steps[:pos] + steps[pos + 1:]
+            ref = chain_probabilities(table.system, table.schedule.init, shorter)
+            gaps.append(np.abs(surrogate.sum(axis=pos).ravel() - ref).max())
     return ClassicalDiagnostic(
         offdiag_mass=mass,
         threshold=float(threshold),

@@ -1081,6 +1081,8 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         ("markov", ("params", "times"), [1.1, 0.5], "/params/times/1"),
         ("zeno", ("params", "T"), -1, "/params/T"),
         ("coarse", ("params", "position"), 2, "/params/position"),
+        # every entry is finite, but the largest eigenvalue, 2e308, is not
+        ("zx", ("system", "hamiltonian"), mat(np.full((2, 2), 1e308)), "/system/hamiltonian"),
     ],
     ids=[
         "op_environment-shape",
@@ -1095,6 +1097,7 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         "markov-times-out-of-order",
         "zeno-negative-T",
         "position-past-the-schedule",
+        "hamiltonian-spectrum-overflows",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):
@@ -1138,8 +1141,6 @@ LABEL_BASES = dict(PINNED_BASES, qutrit_zeno=QUTRIT_ZENO)
         ("coarse", ("params", "outcomes", 0), "zz", "/params/outcomes/0: device 'X|any' has no"),
         ("coarse", ("params", "outcomes", 1), "zz", "/params/outcomes/1: device 'Z' has no"),
         ("coarse", ("params", "pair", 1), "zz", "/params/pair/1: device 'X' has no"),
-        # beside the pair every entry is read fine, and the fine X has no "any"
-        ("coarse", ("params",), COARSE_AT_Z, "/params/outcomes/0: device 'X' has no outcome"),
         ("cointerference", BI_A + ("plus", 0), "zz", "/params/bi_a/plus/0: device 'X' has no"),
         ("cointerference", BI_A + ("minus", 0), "zz", "/params/bi_a/minus/0: device 'X' has no"),
         ("cointerference", BI_B + ("plus", 0), "zz", "/params/bi_b/plus/0: device 'Z' has no"),
@@ -1153,7 +1154,6 @@ LABEL_BASES = dict(PINNED_BASES, qutrit_zeno=QUTRIT_ZENO)
         "coarse-outcome-0",
         "coarse-outcome-1",
         "coarse-pair-1",
-        "coarse-label-beside-the-pair",
         "bi_a-plus-0",
         "bi_a-minus-0",
         "bi_b-plus-0",
@@ -1175,6 +1175,26 @@ def test_the_qutrit_zeno_base_runs(tmp_path):
     assert run(tmp_path, "zeno", QUTRIT_ZENO)[0] == 0
 
 
+def test_a_coarse_readout_beside_the_pair_is_read_coarse(tmp_path):
+    from bitraj import Device, Schedule, State, SystemSpec, interference_term
+    from bitraj.coarse import Resolution, coarse_device
+
+    cfg = _mutated(PINNED_BASES["coarse"], ("params",), COARSE_AT_Z)
+    code, report, _ = run(tmp_path, "coarse", cfg)
+    assert code == 0 and report["ok"] is True
+    dev_x = Device(name="X", outcomes=("+", "-"), projectors=(PX, MX))
+    dev_z = Device(name="Z", outcomes=("u", "d"), projectors=(UP, DN))
+    # the X entry carries its "any" block; the pair's own Z entry is read fine
+    any_x = coarse_device(dev_x, Resolution(dev_x, (("+", "-"),), ("any",)))
+    mixed = Schedule(entries=((1.0, any_x), (2.0, dev_z)), init=State(UP))
+    free = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
+    term = interference_term(free, mixed, 1, ("u", "d"), ("any", "u"))
+    assert report["results"]["pair_interference"] == {
+        "from_biprob": term.from_biprob,
+        "from_probabilities": term.from_probabilities,
+    }
+
+
 def test_a_failed_self_check_reports_its_gap_and_bound(tmp_path, monkeypatch):
     from bitraj import coarse
 
@@ -1187,13 +1207,25 @@ def test_a_failed_self_check_reports_its_gap_and_bound(tmp_path, monkeypatch):
     assert check["message"].startswith("interference routes disagree: 0.5 vs 0.25")
 
 
-def test_a_nan_propagator_fails_the_sample_self_check(tmp_path):
-    # 4 * 1.7e308 overflows the phase of exp(-i t H), so the second readout's weights are NaN
-    cfg = _mutated(SAMPLE_BASE, ("system", "hamiltonian"), mat(4 * SX))
-    cfg["schedule"]["entries"][1]["time"] = 1.7e308
-    code, report, _ = run(tmp_path, "sample", cfg)
-    assert code == 1 and report["ok"] is False
-    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["internal_consistency"]
+@pytest.mark.parametrize(
+    "base, path, pointer",
+    [
+        ("zx", ("schedule", "entries", 1, "time"), "/schedule/entries/1/time"),
+        ("classical", ("schedule", "entries", 1, "time"), "/schedule/entries/1/time"),
+        ("sample", ("schedule", "entries", 1, "time"), "/schedule/entries/1/time"),
+        ("markov", ("params", "times", 1), "/params/times/1"),
+        ("markov", ("init", "time"), "/init/time"),
+        ("zeno", ("params", "T"), "/params/T"),
+        ("uncertainty", ("params", "t"), "/params/t"),
+    ],
+    ids=["verify", "classical", "sample", "markov", "markov-init", "zeno", "uncertainty"],
+)
+def test_a_phase_past_float_range_exits_two_at_its_time(tmp_path, capsys, base, path, pointer):
+    # with H = 4 sigma_x, 1.7e308 * 4 overflows the phase of exp(-i t H)
+    cfg = _mutated(PINNED_BASES[base], ("system", "hamiltonian"), mat(4 * SX))
+    code = main([cfg["command"], "--config", write_config(tmp_path, _mutated(cfg, path, 1.7e308))])
+    assert code == 2
+    assert f"config error at {pointer}: exp(-i s H) at s = 1.7e+308" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,38 @@ DEV_Z = Device("Z", ("u", "d"), (UP, DN))
 def test_constructors_reject_non_finite_input(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, t",
+    [
+        (4 * SX, 1.7e308),
+        (4 * SX, -1.7e308),
+        (np.zeros((2, 2)), np.inf),
+        (np.full((2, 2), 1e154), 1e155),
+    ],
+    ids=["overflow", "negative-overflow", "infinite-time", "large-h"],
+)
+def test_propagator_rejects_a_phase_past_float_range(hamiltonian, t):
+    # each eigenvalue times t is inf or NaN, so every entry of exp(-i t H) would be NaN
+    with pytest.raises(ValueError, match="not finite"):
+        propagator(SystemSpec(dim=2, hamiltonian=hamiltonian), t)
+
+
+def test_propagator_keeps_a_large_finite_phase():
+    # 4 * 4e307 is still a float: the propagator is a (meaningless but finite) unitary
+    u = propagator(SystemSpec(dim=2, hamiltonian=4 * SX), 4e307)
+    assert np.isfinite(u).all()
+
+
+def test_system_eigensolve_rejects_a_spectrum_past_float_range(monkeypatch):
+    # finite entries whose largest eigenvalue, 2e308, is not a float
+    with pytest.raises(ValueError, match="eigensolve returned a non-finite value"):
+        propagator(SystemSpec(dim=2, hamiltonian=np.full((2, 2), 1e308)), 1.0)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ValueError, match="eigensolve failed: Eigenvalues did not converge"):
+        propagator(SystemSpec(dim=2, hamiltonian=SX), 1.0)

@@ -24,7 +24,9 @@ from bitraj import (
     system_biprob,
     two_time_commutator,
 )
+from bitraj import master
 from bitraj.master import CommutatorMoment, _env_blocks, piecewise_propagator
+from test_engine import report_cases
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -261,6 +263,39 @@ def _qutrit_environment_spec():
         couplings=(Coupling(_herm(rng, 2), obs_1, 0.6), Coupling(_herm(rng, 2), obs_2, 0.3)),
         env_state=State(rho / np.trace(rho).real),
     )
+
+
+def _left_to_right(terms, out):
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    out[...] = acc
+
+
+def _pairwise_tree(terms, out):
+    # index-ascending pairs, level by level: left to right for up to three terms
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    out[...] = terms[0]
+
+
+@pytest.mark.parametrize(
+    "spec, n_blocks",
+    [
+        (dataclasses.replace(NONCOMMUTING, couplings=()), 1),
+        (NONCOMMUTING, 2),
+        (_qutrit_environment_spec(), 3),
+    ],
+    ids=["one-block", "two-blocks", "three-blocks"],
+)
+@pytest.mark.parametrize("slices", [1, 3])
+def test_transfer_map_sums_its_block_terms_left_to_right(monkeypatch, spec, n_blocks, slices):
+    assert len(_env_blocks(spec)) == n_blocks
+    got = dynamical_map_bitraj(spec, 1.3, slices).matrix
+    for reduction in (_left_to_right, _pairwise_tree):
+        monkeypatch.setattr(master, "_sum_in_order", reduction)
+        want = dynamical_map_bitraj(spec, 1.3, slices).matrix
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [1.3, 0.0, -1.0, -2.5])
@@ -513,6 +548,37 @@ def test_classical_diagnostic_zx():
     assert diag.offdiag_mass == pytest.approx(0.5, abs=1e-12)
     assert diag.surrogate is None
     assert diag.consistency_error is None
+
+
+def _dense_consistency_error(table):
+    """The Kolmogorov gap against the diagonals of freshly built shorter tables."""
+    surrogate = table.matrix.diagonal().real.reshape(table.radices)
+    gaps = []
+    for pos in range(len(table.radices)):
+        shorter = biprob_table(table.system, table.schedule.without(pos))
+        gaps.append(np.abs(surrogate.sum(axis=pos).ravel() - shorter.diagonal()).max())
+    return float(np.max(gaps))
+
+
+def _no_table(*args):
+    raise AssertionError("classical_diagnostic built a table")
+
+
+@settings(max_examples=40)
+@given(report_cases())
+def test_classical_references_come_from_chain_probabilities(case):
+    # each reference is a sum of 2 d^2 squares, at most 1: the two routes
+    # differ by at most d^2 2^-51, whatever the threshold lets through
+    system, schedule = case
+    table = biprob_table(system, schedule)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(master, "biprob_table", _no_table)
+        diag = classical_diagnostic(table, threshold=math.inf)
+    if len(schedule) == 1:
+        assert diag.consistency_error == abs(float(diag.surrogate.sum()) - 1.0)
+    else:
+        want = _dense_consistency_error(table)
+        assert abs(diag.consistency_error - want) <= system.dim**2 * 2.0**-51
 
 
 @pytest.mark.parametrize("entry", [(3, 3), (0, 1)])
