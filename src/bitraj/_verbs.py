@@ -1,0 +1,717 @@
+"""The command-line verbs: build a config's objects, compute, fill the report.
+
+``bitraj.cli`` reads a config and checks its shape without NumPy; it imports
+this module only for a config that passed, and ``run`` does the rest.  Every
+verb builds its config with the four modules imported here.  The others
+(``composite``, ``phenomena``, ``master``, ``lab``) are imported inside the
+functions that use them, so a verb loads only its own layers.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .cli import DEFAULT_TOLERANCES, CliError, _check, _config_error
+from .coarse import (
+    CoarseSchedule,
+    Resolution,
+    _block_label,
+    faux_coarse_prob,
+    interference_term,
+    pairwise_decompose,
+    quantum_coarse_prob,
+)
+from .core import Device, Label, State, SystemSpec, _env_cap, _system_eig, propagator
+from .core import device_from_hermitian
+from .engine import (
+    BiSequence,
+    ConsistencyError,
+    Schedule,
+    TableSizeError,
+    _mass,
+    _max_hermitianity,
+    biprob_table,
+    chain_probabilities,
+    property_report,
+)
+from .serialize import csv_text, label_from_json, matrix_from_json, matrix_to_json
+
+if TYPE_CHECKING:
+    from .composite import Coupling
+    from .phenomena import InitSpec
+
+
+# --------------------------------------------------------------------------
+# builders
+
+def _matrix(obj, where: str) -> np.ndarray:
+    with _config_error(where):
+        return matrix_from_json(obj, where)
+
+
+def _operator(obj, where: str, dim: int) -> np.ndarray:
+    """A ``dim`` x ``dim`` matrix of the config at ``where``."""
+    m = _matrix(obj, where)
+    if m.shape != (dim, dim):
+        raise CliError(f"config error at {where}: shape {m.shape} does not match dim {dim}")
+    return m
+
+
+def _build_system(obj: dict, where: str) -> SystemSpec:
+    h = _operator(obj["hamiltonian"], where + "/hamiltonian", obj["dim"])
+    with _config_error(where):
+        system = SystemSpec(dim=obj["dim"], hamiltonian=h)
+    with _config_error(where + "/hamiltonian"):  # an eigensolve that fails or overflows
+        _system_eig(system)
+    return system
+
+
+def _check_time(system: SystemSpec, t: float, where: str) -> None:
+    """Reject the time at ``where`` when a phase ``t * w`` of its propagator leaves float range."""
+    with _config_error(where):
+        propagator(system, t)
+
+
+def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]:
+    devices: dict[str, Device] = {}
+    for i, obj in enumerate(items):
+        ptr = f"{where}/{i}"
+        name = obj["name"]
+        if name in devices:
+            raise CliError(f"config error at {ptr}/name: duplicate device {name!r}")
+        has_obs = "observable" in obj
+        has_proj = "projectors" in obj
+        if has_obs == has_proj:
+            raise CliError(
+                f"config error at {ptr}: give exactly one of 'observable' or "
+                f"'outcomes'+'projectors'"
+            )
+        with _config_error(ptr):
+            if has_obs:
+                dev = device_from_hermitian(_matrix(obj["observable"], ptr + "/observable"), name=name)
+            else:
+                if "outcomes" not in obj:
+                    raise CliError(
+                        f"config error at {ptr}: 'projectors' requires 'outcomes'"
+                    )
+                outcomes = tuple(label_from_json(o) for o in obj["outcomes"])
+                projs = tuple(
+                    _matrix(p, f"{ptr}/projectors/{j}")
+                    for j, p in enumerate(obj["projectors"])
+                )
+                dev = Device(name=name, outcomes=outcomes, projectors=projs)
+        if dev.dim != dim:
+            raise CliError(
+                f"config error at {ptr}: device dimension {dev.dim} does not "
+                f"match the system dimension {dim}"
+            )
+        devices[name] = dev
+    return devices
+
+
+def _build_resolution(obj: dict, device: Device, where: str) -> Resolution:
+    blocks = tuple(tuple(label_from_json(f) for f in b) for b in obj["blocks"])
+    if "labels" in obj:
+        labels = tuple(label_from_json(l) for l in obj["labels"])
+    else:
+        labels = tuple(_block_label(b) for b in blocks)
+    with _config_error(where):
+        return Resolution(device, blocks, labels)
+
+
+def _build_init(
+    obj: dict | None,
+    system: SystemSpec,
+    devices: dict[str, Device],
+    t_first: float,
+    strict_times: bool,
+    where: str = "/init",
+) -> State:
+    if strict_times:
+        default_time = 0.0 if t_first > 0 else t_first - 1.0
+    else:
+        default_time = min(0.0, t_first)
+    if obj is None:
+        obj = {"maximally_mixed": True}
+    time = float(obj.get("time", default_time))
+    forms = [k for k in ("density", "weights", "maximally_mixed") if k in obj]
+    if len(forms) != 1:
+        raise CliError(
+            f"config error at {where}: give exactly one of 'density', "
+            f"'weights' or 'maximally_mixed'"
+        )
+    with _config_error(where):
+        if "density" in obj:
+            return State(_matrix(obj["density"], where + "/density"), time_tag=time)
+        if "weights" in obj:
+            from .phenomena import init_metric
+
+            return init_metric(_build_init_spec(obj, devices, where, default_time), system)
+        return State(np.eye(system.dim) / system.dim, time_tag=time)
+
+
+def _build_experiment(
+    obj: dict, plain: bool, where: str = ""
+) -> tuple[SystemSpec, Schedule | CoarseSchedule]:
+    """The system and the schedule, with its init, of ``obj``: a config or a composite factor.
+
+    ``plain`` folds each resolution into a coarse device and gives a ``Schedule``,
+    which needs strictly increasing times; otherwise the result is a
+    ``CoarseSchedule``.
+    """
+    system = _build_system(obj["system"], where + "/system")
+    devices = _build_devices(obj["devices"], system.dim, where + "/devices")
+    items = obj["schedule"]["entries"]
+    t_first = float(items[0]["time"])
+    init = _build_init(obj.get("init"), system, devices, t_first, plain, where + "/init")
+    where += "/schedule"
+    entries = []
+    for i, e in enumerate(items):
+        ptr = f"{where}/entries/{i}"
+        dev = devices.get(e["device"])
+        if dev is None:
+            raise CliError(f"config error at {ptr}/device: unknown device {e['device']!r}")
+        res = None
+        if "resolution" in e:
+            res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
+        _check_time(system, e["time"], ptr + "/time")
+        entries.append((float(e["time"]), dev, res))
+    with _config_error(where):
+        cs = CoarseSchedule(entries=tuple(entries), init=init)
+        if plain:
+            return system, Schedule(entries=tuple(zip(cs.times, cs.devices)), init=init)
+        return system, cs
+
+
+def _build_init_spec(
+    obj: dict,
+    devices: dict[str, Device],
+    where: str = "/init",
+    default_time: float = 0.0,
+) -> InitSpec:
+    """The ``weights`` form of an init section as weighted readout events."""
+    from .phenomena import InitSpec
+
+    entries = []
+    for j, w in enumerate(obj["weights"]):
+        dev = devices.get(w["device"])
+        if dev is None:
+            raise CliError(
+                f"config error at {where}/weights/{j}/device: unknown device "
+                f"{w['device']!r}"
+            )
+        outcome = _outcome(dev, w["outcome"], f"{where}/weights/{j}/outcome")
+        entries.append((dev, outcome, float(w["weight"])))
+    with _config_error(where):
+        return InitSpec(entries=tuple(entries), time=float(obj.get("time", default_time)))
+
+
+def _couplings(
+    items: list[dict], key_a: str, key_b: str, where: str, dims: tuple[int, int]
+) -> tuple[Coupling, ...]:
+    """Product couplings: operators of dimensions ``dims`` under ``key_a`` and ``key_b``."""
+    from .composite import Coupling
+
+    return tuple(
+        Coupling(
+            op_a=_operator(c[key_a], f"{where}/{i}/{key_a}", dims[0]),
+            op_b=_operator(c[key_b], f"{where}/{i}/{key_b}", dims[1]),
+            strength=float(c.get("strength", 1.0)),
+        )
+        for i, c in enumerate(items)
+    )
+
+
+def _seed_param(params: dict, runs: int = 1) -> int:
+    """The run seed; ``runs`` sampling runs use it and the ``runs - 1`` seeds after it."""
+    from .lab import _check_seed
+
+    seed = params.get("seed", 0)
+    with _config_error("/params/seed"):
+        _check_seed(seed, runs)
+    return seed
+
+
+def _partner(params: dict, key: str, partner: str) -> None:
+    """Reject ``params[key]`` when ``params[partner]``, without which it is not read, is missing."""
+    if key in params and partner not in params:
+        raise CliError(
+            f"config error at /params/{key}: {key!r} is read only together with "
+            f"{partner!r}, which is missing"
+        )
+
+
+def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
+    name = params[key]
+    dev = devices.get(name)
+    if dev is None:
+        raise CliError(f"config error at /params/{key}: unknown device {name!r}")
+    return dev
+
+
+def _outcome(dev: Device, raw, where: str) -> Label:
+    """The config label ``raw`` at ``where``, which must be an outcome of ``dev``."""
+    label = label_from_json(raw)
+    try:
+        dev.outcome_index(label)
+    except KeyError as exc:
+        raise CliError(f"config error at {where}: {exc.args[0]}") from None
+    return label
+
+
+def _readouts(devices: tuple[Device, ...], raw: list, where: str) -> tuple[Label, ...]:
+    """The config labels ``raw`` at ``where``: one outcome of each device of a schedule."""
+    if len(raw) != len(devices):
+        raise CliError(
+            f"config error at {where}: {len(raw)} readouts for a schedule of "
+            f"{len(devices)} entries"
+        )
+    return tuple(_outcome(dev, x, f"{where}/{i}") for i, (dev, x) in enumerate(zip(devices, raw)))
+
+
+# --------------------------------------------------------------------------
+# execution context and verbs
+
+@dataclass
+class _Context:
+    cfg: dict
+    tolerances: dict
+    results: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
+    artifacts: dict = field(default_factory=dict)  # file name -> text, or a writer of the open file
+
+    @property
+    def params(self) -> dict:
+        return self.cfg.get("params", {})
+
+    def tol(self, key: str) -> float:
+        return float(self.tolerances[key])
+
+
+def _cmd_table(ctx: _Context) -> None:
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
+    table = biprob_table(system, schedule)
+    m = table.matrix
+    ctx.results.update(
+        {
+            "n_sequences": table.n_sequences,
+            "l1_norm": _mass(m),
+            "normalization_error": abs(complex(m.sum()) - 1.0),
+            "schedule_digest": table.schedule_digest,
+            "table_digest": table.digest,
+        }
+    )
+    ctx.checks.append(_check("hermitianity", _max_hermitianity(m), ctx.tol("hermitianity"), "<="))
+    ctx.artifacts["table.csv"] = table.write_csv
+
+
+def _cmd_verify(ctx: _Context) -> None:
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
+    table = biprob_table(system, schedule)
+    rep = property_report(table)
+    ctx.results.update(rep.as_dict())
+    ctx.results["schedule_digest"] = table.schedule_digest
+    ctx.results["table_digest"] = table.digest
+    ctx.checks.extend(
+        [
+            _check("normalization", rep.normalization_error, ctx.tol("normalization"), "<="),
+            _check("biconsistency", rep.max_biconsistency_error, ctx.tol("biconsistency"), "<="),
+            _check("causality", rep.max_causality_violation, ctx.tol("causality"), "<="),
+            _check("hermitianity", rep.max_hermitianity_error, ctx.tol("hermitianity"), "<="),
+            _check("gram_min_eigenvalue", rep.min_gram_eigenvalue, ctx.tol("gram_min"), ">="),
+            _check(
+                "diagonal_negativity",
+                rep.max_diagonal_negativity,
+                ctx.tol("diagonal_negativity"),
+                "<=",
+            ),
+        ]
+    )
+    ctx.artifacts["properties.csv"] = csv_text(
+        "name,value,bound,comparator,pass", (c.values() for c in ctx.checks)
+    )
+
+
+def _cmd_coarse(ctx: _Context) -> None:
+    _partner(ctx.params, "pair", "position")
+    _partner(ctx.params, "position", "pair")
+    system, cs = _build_experiment(ctx.cfg, plain=False)
+    outcomes = _readouts(cs.devices, ctx.params["outcomes"], "/params/outcomes")
+    quantum = quantum_coarse_prob(system, cs, outcomes)
+    faux = faux_coarse_prob(system, cs, outcomes)
+    ctx.results.update(
+        {
+            "quantum": quantum,
+            "faux": faux,
+            "interference_total": quantum - faux,
+        }
+    )
+    try:
+        dec = pairwise_decompose(system, cs, outcomes)
+        ctx.results["recurrence"] = {
+            "value": dec.recurrence_value,
+            "direct": dec.direct_value,
+            "terminal_readouts": dec.term_count,
+        }
+        ctx.checks.append(
+            _check(
+                "pairwise_recurrence",
+                abs(dec.recurrence_value - dec.direct_value),
+                ctx.tol("pairwise"),
+                "<=",
+            )
+        )
+    except TableSizeError as exc:
+        ctx.results["recurrence"] = {"skipped": str(exc)}
+
+    if "pair" in ctx.params:
+        position = ctx.params["position"]
+        # the pair's own entry is read fine, every other entry as the schedule reads it
+        entries = tuple(
+            (t, fine if i == position else dev)
+            for i, ((t, fine, _), dev) in enumerate(zip(cs.entries, cs.devices))
+        )
+        with _config_error("/schedule"):
+            mixed = Schedule(entries=entries, init=cs.init)
+        if position >= len(cs):
+            raise CliError(
+                f"config error at /params/position: position {position} is past the "
+                f"schedule's last entry {len(cs) - 1}"
+            )
+        at, raw = mixed.devices[position], ctx.params["pair"]
+        pair = tuple(_outcome(at, f, f"/params/pair/{i}") for i, f in enumerate(raw))
+        term = interference_term(system, mixed, position, pair, outcomes)
+        ctx.results["pair_interference"] = {
+            "from_biprob": term.from_biprob,
+            "from_probabilities": term.from_probabilities,
+        }
+        ctx.checks.append(
+            _check(
+                "interference_routes",
+                abs(term.from_biprob - term.from_probabilities),
+                ctx.tol("interference_routes"),
+                "<=",
+            )
+        )
+    ctx.artifacts["coarse.csv"] = csv_text(
+        "quantum,faux,interference_total", [(quantum, faux, quantum - faux)]
+    )
+
+
+def _cmd_compose(ctx: _Context) -> None:
+    from .composite import CompositeSpec, _check_tandem, co_interference, compose, factorization_delta
+
+    _partner(ctx.params, "bi_a", "bi_b")
+    _partner(ctx.params, "bi_b", "bi_a")
+    comp = ctx.cfg["composite"]
+    sys_a, sched_a = _build_experiment(comp["a"], plain=True, where="/composite/a")
+    sys_b, sched_b = _build_experiment(comp["b"], plain=True, where="/composite/b")
+    with _config_error("/composite/b/schedule/entries"):
+        _check_tandem(sched_a, sched_b)
+    couplings = _couplings(
+        comp.get("couplings", []), "op_a", "op_b", "/composite/couplings", (sys_a.dim, sys_b.dim)
+    )
+    with _config_error("/composite"):
+        compose(CompositeSpec(sys_a, sys_b, couplings))
+    delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
+    ctx.results["factorization_delta"] = delta
+    ctx.results["coupled"] = bool(couplings)
+    if not couplings:
+        ctx.checks.append(_check("factorization", delta, ctx.tol("factorization"), "<="))
+
+    if "bi_a" in ctx.params:
+        if couplings:
+            raise CliError(
+                "config error at /params/bi_a: co-interference is defined for "
+                "uncoupled factors only"
+            )
+        bi_a = BiSequence(
+            _readouts(sched_a.devices, ctx.params["bi_a"]["plus"], "/params/bi_a/plus"),
+            _readouts(sched_a.devices, ctx.params["bi_a"]["minus"], "/params/bi_a/minus"),
+        )
+        bi_b = BiSequence(
+            _readouts(sched_b.devices, ctx.params["bi_b"]["plus"], "/params/bi_b/plus"),
+            _readouts(sched_b.devices, ctx.params["bi_b"]["minus"], "/params/bi_b/minus"),
+        )
+        phi = co_interference(sys_a, sys_b, sched_a, sched_b, bi_a, bi_b)
+        ctx.results["co_interference"] = phi
+    ctx.artifacts["compose.csv"] = csv_text(
+        "factorization_delta,coupled", [(delta, bool(couplings))]
+    )
+
+
+def _cmd_markov(ctx: _Context) -> None:
+    from .phenomena import markov_delta
+
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    device = _device_param(ctx.params, "device", devices)
+    times = [float(t) for t in ctx.params["times"]]
+    init = _build_init_spec(ctx.cfg["init"], devices)
+    _check_time(system, init.time, "/init/time")
+    for i, t in enumerate(times):
+        if i and t < times[i - 1]:
+            raise CliError(f"config error at /params/times/{i}: times must be non-decreasing")
+        _check_time(system, t, f"/params/times/{i}")
+    rep = markov_delta(system, device, times, init)
+    ctx.results.update(
+        {"delta": rep.delta, "excluded": rep.excluded, "checked": rep.checked}
+    )
+    fine = device.is_fine_grained()
+    ctx.results["fine_grained"] = fine
+    if fine:
+        ctx.checks.append(_check("markov_factorization", rep.delta, ctx.tol("markov"), "<="))
+    ctx.artifacts["markov.csv"] = csv_text(
+        "delta,excluded,checked,fine_grained", [(rep.delta, rep.excluded, rep.checked, fine)]
+    )
+
+
+def _cmd_zeno(ctx: _Context) -> None:
+    from .phenomena import _rate_scale, zeno_scan
+
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    device = _device_param(ctx.params, "device", devices)
+    outcome = _outcome(device, ctx.params["outcome"], "/params/outcome")
+    total = float(ctx.params["T"])
+    if total < 0:
+        raise CliError(f"config error at /params/T: the scan time {total!r} is negative")
+    _check_time(system, total, "/params/T")
+    with _config_error("/system/hamiltonian"):  # a norm too large for the rate's self-checks
+        _rate_scale(system)
+    with _config_error("/params/outcome"):  # an outcome of rank two or more
+        series = zeno_scan(system, device, outcome, total, ctx.params["n_list"])
+    ctx.results.update(
+        {
+            "rate": series.rate,
+            "n_values": list(series.n_values),
+            "survival": list(series.survival),
+        }
+    )
+    ctx.artifacts["zeno.csv"] = series.to_csv()
+
+
+def _cmd_uncertainty(ctx: _Context) -> None:
+    from .lab import estimate_uncertainty
+    from .phenomena import uncertainty_csv, uncertainty_matrix
+
+    _partner(ctx.params, "dt", "n_samples")
+    system = _build_system(ctx.cfg["system"], "/system")
+    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    dev_k = _device_param(ctx.params, "device_k", devices)
+    dev_l = _device_param(ctx.params, "device_l", devices)
+    seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
+    t = float(ctx.params.get("t", 0.0))
+    _check_time(system, t, "/params/t")
+    exact = uncertainty_matrix(system, dev_k, dev_l, t)
+    row_gap = float(np.abs(exact.sum(axis=0) - 1.0).max())
+    col_gap = float(np.abs(exact.sum(axis=1) - 1.0).max())
+    ctx.results["exact_matrix"] = matrix_to_json(exact.astype(complex))
+    ctx.checks.append(
+        _check(
+            "doubly_stochastic",
+            max(row_gap, col_gap),
+            ctx.tol("uncertainty_stochastic"),
+            "<=",
+        )
+    )
+    ctx.artifacts["uncertainty.csv"] = uncertainty_csv(dev_k, dev_l, exact)
+
+    if "n_samples" in ctx.params:
+        dt = float(ctx.params.get("dt", 0.0))
+        with _config_error("/params/dt"):  # t + dt past float range: an infinite time
+            est = estimate_uncertainty(system, dev_k, dev_l, t, dt, ctx.params["n_samples"], seed)
+        ctx.results["empirical"] = {
+            "matrix": est.matrix.tolist(),
+            "excluded": [str(l) for l in est.excluded],
+            "exchange_error": est.exchange_error,
+            "exact_delta": est.exact_delta,
+            "dt": est.dt,
+            "n_samples": est.n_samples,
+        }
+
+
+def _cmd_map_compare(ctx: _Context) -> None:
+    from .composite import CompositeSpec, compose
+    from .master import OpenSpec, dynamical_map_bitraj, dynamical_map_exact
+
+    system = _build_system(ctx.cfg["system"], "/system")
+    environment = _build_system(ctx.cfg["environment"], "/environment")
+    couplings = _couplings(
+        ctx.cfg.get("couplings", []),
+        "op_system",
+        "op_environment",
+        "/couplings",
+        (system.dim, environment.dim),
+    )
+    rho_env = _operator(ctx.cfg["env_init"]["density"], "/env_init/density", environment.dim)
+    with _config_error("/env_init/density"):
+        env_state = State(rho_env)
+    with _config_error("/couplings"):  # a coupling operator that is not Hermitian
+        spec = OpenSpec(
+            system=system,
+            environment=environment,
+            couplings=couplings,
+            env_state=env_state,
+        )
+    t = float(ctx.params["t"])
+    slices = sorted(ctx.params["slices"])
+
+    with _config_error("/environment"):  # the joint dimension is over the cap
+        joint = compose(CompositeSpec(system, environment, couplings))
+        _system_eig(joint)
+    _check_time(joint, t, "/params/t")
+    with _config_error("/environment"):  # a map that fails its trace-preservation check
+        exact = dynamical_map_exact(spec, t)
+    rows = []
+    maps = [dynamical_map_bitraj(spec, t, n) for n in slices]
+    for n, bt in zip(slices, maps):
+        residual = float(np.abs(bt.matrix - exact.matrix).max())
+        tp_err = bt.trace_preservation_error()
+        choi_min = bt.min_choi_eigenvalue()
+        rows.append(
+            {"slices": n, "residual": residual, "tp_error": tp_err, "choi_min": choi_min}
+        )
+        ctx.checks.append(_check(f"tp_error_slices_{n}", tp_err, ctx.tol("map_tp"), "<="))
+        ctx.checks.append(
+            _check(f"choi_min_slices_{n}", choi_min, ctx.tol("map_choi_min"), ">=")
+        )
+    ctx.results["slices"] = rows
+    ctx.results["exact_tp_error"] = exact.trace_preservation_error()
+    if len(rows) >= 2:
+        ctx.checks.append(
+            _check(
+                "residual_refinement",
+                rows[-1]["residual"] - rows[0]["residual"],
+                ctx.tol("map_residual_slack"),
+                "<=",
+            )
+        )
+    if ctx.params.get("cross_check", False):
+        enum = dynamical_map_bitraj(spec, t, slices[0], via_enumeration=True)
+        gap = float(np.abs(enum.matrix - maps[0].matrix).max())
+        ctx.results["enumeration_gap"] = gap
+        ctx.checks.append(
+            _check("enumeration_vs_transfer", gap, ctx.tol("map_cross_check"), "<=")
+        )
+    ctx.artifacts["map_compare.csv"] = csv_text(
+        "slices,residual,tp_error,choi_min", (r.values() for r in rows)
+    )
+
+
+def _cmd_sample(ctx: _Context) -> None:
+    from .lab import empirical_distribution, sample_sequences
+
+    system, cs = _build_experiment(ctx.cfg, plain=False)
+    run = sample_sequences(system, cs, ctx.params["n_samples"], _seed_param(ctx.params))
+    dist = empirical_distribution(run)
+    ctx.results.update(
+        {
+            "n_samples": run.n_samples,
+            "seed": run.seed,
+            "observed_cells": len(run.counts),
+            "schedule_digest": run.schedule_digest,
+        }
+    )
+
+    if math.prod(dev.n_outcomes for dev in cs.devices) <= 4096:
+        worst_zero = 0.0
+        within = 0
+        total_checked = 0
+        steps = [(t, dev.projectors) for t, dev in zip(cs.times, cs.devices)]
+        probs = chain_probabilities(system, cs.init, steps)
+        cells = itertools.product(*(dev.outcomes for dev in cs.devices))
+        for seq, p in zip(cells, probs.tolist()):
+            p_hat = dist.probabilities.get(seq, 0.0)
+            if p <= 1e-300 and p_hat > 0.0:
+                worst_zero = max(worst_zero, p_hat)
+            sigma = math.sqrt(max(p * (1.0 - p), 0.0) / run.n_samples)
+            if p > 1e-300:
+                total_checked += 1
+                if abs(p_hat - p) <= 4.0 * max(sigma, 1e-12):
+                    within += 1
+        ctx.results["fraction_within_4sigma"] = (
+            within / total_checked if total_checked else 1.0
+        )
+        ctx.checks.append(
+            _check("zero_probability_cells_hit", worst_zero, 0.0, "<=")
+        )
+    ctx.artifacts["samples.csv"] = run.to_csv()
+    ctx.artifacts["run.json"] = json.dumps(run.to_json(), indent=2) + "\n"
+
+
+def _cmd_classical(ctx: _Context) -> None:
+    from .master import classical_diagnostic
+
+    system, schedule = _build_experiment(ctx.cfg, plain=True)
+    table = biprob_table(system, schedule)
+    threshold = float(ctx.params.get("threshold", DEFAULT_TOLERANCES["classical_threshold"]))
+    diag = classical_diagnostic(table, threshold=threshold)
+    ctx.results.update(
+        {
+            "offdiag_mass": diag.offdiag_mass,
+            "threshold": diag.threshold,
+            "surrogate_returned": diag.surrogate is not None,
+            "consistency_error": diag.consistency_error,
+        }
+    )
+    consistent = False  # without a surrogate there is nothing to be consistent
+    if diag.surrogate is not None:
+        tol = ctx.tol("classical_consistency")
+        ctx.checks.append(_check("kolmogorov_consistency", diag.consistency_error, tol, "<="))
+        consistent = ctx.checks[-1]["pass"]
+    ctx.artifacts["classical.csv"] = csv_text(
+        "offdiag_mass,threshold,consistent", [(diag.offdiag_mass, diag.threshold, consistent)]
+    )
+
+
+_COMMANDS = {
+    "table": _cmd_table,
+    "verify": _cmd_verify,
+    "coarse": _cmd_coarse,
+    "compose": _cmd_compose,
+    "markov": _cmd_markov,
+    "zeno": _cmd_zeno,
+    "uncertainty": _cmd_uncertainty,
+    "map-compare": _cmd_map_compare,
+    "sample": _cmd_sample,
+    "classical": _cmd_classical,
+}
+
+
+def run(verb: str, cfg: dict, tolerances: dict) -> _Context:
+    """Run ``verb`` on a config that passed its shape walk; the context holds what it found.
+
+    ``CliError`` for a malformed size cap, a config the verb cannot use or a
+    table past the size guard; a failed self-check becomes a failed
+    ``internal_consistency`` check.
+    """
+    for name in ("BITRAJ_MAX_TABLE", "BITRAJ_MAX_DIM"):
+        try:
+            _env_cap(name)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+    ctx = _Context(cfg=cfg, tolerances=tolerances)
+    try:
+        _COMMANDS[verb](ctx)
+    except TableSizeError as exc:
+        raise CliError(
+            json.dumps(
+                {
+                    "error": "table-size-guard",
+                    "requested_entries": exc.requested,
+                    "limit": exc.limit,
+                    "hint": "raise BITRAJ_MAX_TABLE",
+                }
+            )
+        ) from None
+    except ConsistencyError as exc:
+        check = _check("internal_consistency", exc.gap, exc.bound, "<=")
+        ctx.checks.append(dict(check, message=str(exc)))
+    return ctx

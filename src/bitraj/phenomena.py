@@ -225,6 +225,23 @@ def zeno_scan(
     )
 
 
+def _rate_scale(system: SystemSpec) -> tuple[float, float, float]:
+    """``||H||`` and the bounds it sets in ``zeno_rate``: the linear term's, and the
+    finite difference's part beyond the variance; ``ValueError`` when a power of
+    ``||H||`` in them is past float range."""
+    hnorm = float(np.linalg.norm(system.hamiltonian, 2))
+    try:
+        linear = 1e-5 * max(1.0, hnorm**3)
+        # at this step the round-off in fd grows like ||H||^2; an allowance growing
+        # like ||H||^4 would pass any fd once ||H|| exceeds about 3e3
+        fd = 1e-7 * max(1.0, min(hnorm**4, 10.0 * hnorm**2))
+    except OverflowError:
+        raise ValueError(
+            f"||H|| = {hnorm!r} puts the decay rate's self-check bounds past float range"
+        ) from None
+    return hnorm, linear, fd
+
+
 def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> float:
     """Short-time decay rate v of the survival probability around time t.
 
@@ -252,17 +269,15 @@ def zeno_rate(system: SystemSpec, device: Device, outcome: Label, t: float) -> f
     def survival(dt: float) -> float:
         return chain_probability(system, init, [(t + dt, proj)])
 
-    hnorm = float(np.linalg.norm(ham, 2))
+    hnorm, linear_bound, fd_bound = _rate_scale(system)
     h = 1e-3 / max(1.0, hnorm)
     d1 = 1.0 - survival(h)
     d2 = 1.0 - survival(2.0 * h)
     linear = (4.0 * d1 - d2) / (2.0 * h)
     what = f"survival linear term {linear} does not vanish for {outcome!r}"
-    _within(what, abs(linear), 1e-5 * max(1.0, hnorm**3), ConsistencyError)
+    _within(what, abs(linear), linear_bound, ConsistencyError)
     fd = 2.0 * d1 / h**2 - d2 / (2.0 * h) ** 2
-    # at this step the round-off in fd grows like ||H||^2; an allowance growing
-    # like ||H||^4 would pass any fd once ||H|| exceeds about 3e3
-    allowance = 1e-4 * var + 1e-7 * max(1.0, min(hnorm**4, 10.0 * hnorm**2))
+    allowance = 1e-4 * var + fd_bound
     what = f"finite-difference rate^2 {fd} disagrees with the variance {var}"
     _within(what, abs(fd - var), allowance, ConsistencyError)
     return math.sqrt(var)

@@ -11,7 +11,8 @@ Every Hypothesis test runs under one profile: reproducible examples
 own ``@settings`` only sets its example count.
 
 ``extra_peak`` is the one tracemalloc probe of the memory tests, and
-``fresh_stdout`` runs code in a fresh interpreter for the import tests.
+``fresh_run`` and ``fresh_stdout`` run a fresh interpreter for the import and
+``python -m bitraj.cli`` tests.
 """
 
 import os
@@ -47,12 +48,16 @@ def extra_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def fresh_run(*args: str) -> subprocess.CompletedProcess:
+    """``python <args>`` in a fresh interpreter on this test run's ``sys.path``, output as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def fresh_stdout(code: str) -> str:
     """Standard output of ``code`` run in a fresh interpreter on this test run's ``sys.path``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
+    out = fresh_run("-c", code)
+    out.check_returncode()
     return out.stdout
 
 

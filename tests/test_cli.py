@@ -9,7 +9,7 @@ import pytest
 
 from bitraj.cli import _CONFIG_SHAPES, _LABEL, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
 from bitraj.serialize import canonical_digest
-from conftest import fresh_stdout
+from conftest import fresh_run, fresh_stdout
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -407,11 +407,93 @@ def test_threads_flag_is_gone(tmp_path):
 
 def test_cli_import_leaves_jsonschema_out():
     assert fresh_stdout("import sys, bitraj.cli; print('jsonschema' in sys.modules)").strip() == "False"
+    loaded = fresh_stdout(
+        "import sys, bitraj.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'bitraj')))"
+    )
+    assert loaded.strip() == "['bitraj', 'bitraj.cli']"
 
 
 def _readme_config() -> dict:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return json.loads(re.search(r"A minimal example:\n\n```json\n(.*?)```", text, re.S).group(1))
+
+
+def _main_in_a_fresh_interpreter(argv: list[str], before: str = "") -> dict:
+    """Exit code of ``main(argv)`` in a fresh interpreter (``--help`` exits), whether
+    NumPy was loaded after it, and the BLAS thread variables it left; ``before``
+    runs first."""
+    out = fresh_stdout(
+        "import json, os, sys\n"
+        f"{before}\n"
+        "import bitraj.cli\n"
+        "try:\n"
+        f"    code = bitraj.cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "blas = {v: os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')}\n"
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules, 'blas': blas}))"
+    )
+    return json.loads(out.splitlines()[-1])
+
+
+def test_help_and_a_rejected_config_never_load_numpy(tmp_path):
+    nan = dict(_readme_config(), tolerances={"normalization": float("nan")})
+    argv = ["verify", "--config", write_config(tmp_path, nan), "--out", str(tmp_path / "out")]
+    for args, code in [(argv, 2), (["--help"], 0)]:
+        ran = _main_in_a_fresh_interpreter(args)
+        assert (ran["code"], ran["numpy"]) == (code, False)
+    assert not (tmp_path / "out").exists()
+
+
+# each case starts from none of the thread-count variables OpenBLAS reads
+NO_BLAS_VARS = (
+    "for v in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS'): os.environ.pop(v, None)"
+)
+
+
+@pytest.mark.parametrize(
+    "before, openblas, omp",
+    [
+        (NO_BLAS_VARS, "1", None),
+        (NO_BLAS_VARS + "; os.environ['OMP_NUM_THREADS'] = '2'", None, "2"),
+        (NO_BLAS_VARS + "; import numpy", None, None),
+    ],
+    ids=["unset", "omp-set", "numpy-loaded"],
+)
+def test_a_cli_call_asks_for_one_blas_thread_only_when_nothing_chose(tmp_path, before, openblas, omp):
+    cfg = _readme_config()
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    ran = _main_in_a_fresh_interpreter(argv, before)
+    assert (ran["code"], ran["numpy"]) == (0, True)
+    assert ran["blas"] == {"OPENBLAS_NUM_THREADS": openblas, "OMP_NUM_THREADS": omp}
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # H = 4 sigma_x and a second time whose phase leaves float range
+        (
+            [(("system", "hamiltonian"), mat(4 * SX)), (("schedule", "entries", 1, "time"), 1.7e308)],
+            "config error at /schedule/entries/1/time: exp(-i s H)",
+        ),
+        (
+            [(("schedule", "entries", 0, "device"), "Q")],
+            "config error at /schedule/entries/0/device: unknown device 'Q'",
+        ),
+    ],
+    ids=["phase-past-float-range", "unknown-device"],
+)
+def test_python_m_bitraj_cli_reports_a_verb_s_config_error(tmp_path, edits, message):
+    # both errors are raised by the verbs module, past the shape walk
+    cfg = _readme_config()
+    for path, value in edits:
+        cfg = _mutated(cfg, path, value)
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    ran = fresh_run("-m", "bitraj.cli", *argv)
+    assert ran.returncode == 2
+    assert ran.stderr.startswith(message)
+    assert "Traceback" not in ran.stderr
 
 
 # modules the README verify config does not use
@@ -1083,6 +1165,8 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         ("coarse", ("params", "position"), 2, "/params/position"),
         # every entry is finite, but the largest eigenvalue, 2e308, is not
         ("zx", ("system", "hamiltonian"), mat(np.full((2, 2), 1e308)), "/system/hamiltonian"),
+        # ||H||^3 and ||H||^4 in the decay rate's self-check bounds overflow
+        ("zeno", ("system", "hamiltonian"), mat(1e154 * SX), "/system/hamiltonian"),
     ],
     ids=[
         "op_environment-shape",
@@ -1098,6 +1182,7 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         "zeno-negative-T",
         "position-past-the-schedule",
         "hamiltonian-spectrum-overflows",
+        "zeno-rate-bounds-overflow",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):
@@ -1217,8 +1302,9 @@ def test_a_failed_self_check_reports_its_gap_and_bound(tmp_path, monkeypatch):
         ("markov", ("init", "time"), "/init/time"),
         ("zeno", ("params", "T"), "/params/T"),
         ("uncertainty", ("params", "t"), "/params/t"),
+        ("map", ("params", "t"), "/params/t"),
     ],
-    ids=["verify", "classical", "sample", "markov", "markov-init", "zeno", "uncertainty"],
+    ids=["verify", "classical", "sample", "markov", "markov-init", "zeno", "uncertainty", "map"],
 )
 def test_a_phase_past_float_range_exits_two_at_its_time(tmp_path, capsys, base, path, pointer):
     # with H = 4 sigma_x, 1.7e308 * 4 overflows the phase of exp(-i t H)
