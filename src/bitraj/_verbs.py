@@ -86,8 +86,7 @@ def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]
         if name in devices:
             raise CliError(f"config error at {ptr}/name: duplicate device {name!r}")
         has_obs = "observable" in obj
-        has_proj = "projectors" in obj
-        if has_obs == has_proj:
+        if has_obs == ("projectors" in obj) or (has_obs and "outcomes" in obj):
             raise CliError(
                 f"config error at {ptr}: give exactly one of 'observable' or "
                 f"'outcomes'+'projectors'"
@@ -502,6 +501,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     from .phenomena import uncertainty_csv, uncertainty_matrix
 
     _partner(ctx.params, "dt", "n_samples")
+    _partner(ctx.params, "seed", "n_samples")
     system = _build_system(ctx.cfg["system"], "/system")
     devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
     dev_k = _device_param(ctx.params, "device_k", devices)

@@ -91,6 +91,7 @@ _LEAVES = {
     "an integer >= 1": lambda x: _integer(x) and not x < 1,
     "a string": lambda x: isinstance(x, str),
     "a boolean": lambda x: isinstance(x, bool),
+    "true": lambda x: x is True,
     _LABEL: lambda x: isinstance(x, (str, bool)) or _number(x),
     "schema version 1": lambda x: _number(x) and x == 1,
 }
@@ -111,7 +112,7 @@ _SCHEDULE = {
 _WEIGHTS = [{"device": "a string", "outcome": _LABEL, "weight": "a number"}, 1, None]
 _INIT = {
     "density?": _MATRIX,
-    "maximally_mixed?": "a boolean",
+    "maximally_mixed?": "true",
     "weights?": _WEIGHTS,
     "time?": "a number",
 }

@@ -10,6 +10,7 @@ when everything commutes) do the two routes agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +22,6 @@ from .core import ConsistencyError, Device, Label, State, SystemSpec, _within
 from .engine import (
     BiSequence,
     Schedule,
-    _guard,
     biprob,
     chain_probabilities,
     chain_probability,
@@ -168,16 +168,24 @@ def quantum_coarse_prob(
     return chain_probability(system, schedule.init, steps)
 
 
+def _members(schedule: CoarseSchedule, outcomes: Sequence[Label]) -> list[tuple[Label, ...]]:
+    """The fine outcomes each readout covers: its block's members, or the outcome itself."""
+    if len(outcomes) != len(schedule):
+        raise ValueError("one readout per entry required")
+    return [
+        res.members(f) if res is not None else (f,)
+        for (_, _, res), f in zip(schedule.entries, outcomes)
+    ]
+
+
 def faux_coarse_prob(
     system: SystemSpec, schedule: CoarseSchedule, outcomes: Sequence[Label]
 ) -> float:
     """Block-sum of fine probabilities: measure fine, add up within blocks afterwards."""
-    if len(outcomes) != len(schedule):
-        raise ValueError("one readout per entry required")
-    steps = []
-    for (t, dev, res), f in zip(schedule.entries, outcomes):
-        members = res.members(f) if res is not None else (f,)
-        steps.append((t, [dev.projector_for(m) for m in members]))
+    steps = [
+        (t, [dev.projector_for(m) for m in members])
+        for (t, dev, _), members in zip(schedule.entries, _members(schedule, outcomes))
+    ]
     return float(chain_probabilities(system, schedule.init, steps).sum())
 
 
@@ -219,17 +227,10 @@ def interference_term(
     q = biprob(system, schedule, BiSequence(plus, minus))
     route_a = float(q.real)
 
-    pair_proj = dev.projector_for(f_plus) + dev.projector_for(f_minus)
-    base_steps = [
-        (t, d.projector_for(f)) for (t, d), f in zip(schedule.entries, plus)
-    ]
-    steps_or = list(base_steps)
-    steps_or[position] = (schedule.times[position], pair_proj)
-    p_or = chain_probability(system, schedule.init, steps_or)
-    p_plus = chain_probability(system, schedule.init, base_steps)
-    steps_minus = list(base_steps)
-    steps_minus[position] = (schedule.times[position], dev.projector_for(f_minus))
-    p_minus = chain_probability(system, schedule.init, steps_minus)
+    steps = [(t, [d.projector_for(f)]) for (t, d), f in zip(schedule.entries, plus)]
+    proj_plus, proj_minus = dev.projector_for(f_plus), dev.projector_for(f_minus)
+    steps[position] = (schedule.times[position], [proj_plus + proj_minus, proj_plus, proj_minus])
+    p_or, p_plus, p_minus = chain_probabilities(system, schedule.init, steps).tolist()
     route_b = 0.5 * (p_or - p_plus - p_minus)
 
     what = f"interference routes disagree: {route_a} vs {route_b}"
@@ -253,60 +254,34 @@ def pairwise_decompose(
 
     A block of k alternatives decomposes as the sum of its fine probabilities
     plus, for every unordered pair within the block, the excess of the
-    two-member-block probability over the two fine ones.  The expansion runs
-    entry by entry until only singletons and pairs remain, then evaluates the
-    terminal readouts as ordinary chains (memoized).  The result must agree
-    with the direct coarse evaluation.
-
-    A block of k >= 3 members ends in k + k(k-1)/2 terminal readouts, so the
-    expansion evaluates their product over the entries; that count times d^2,
-    the unit of ``chain_probabilities``, must fit ``max_table_entries()``.
+    two-member-block probability over the two fine ones.  Expanding every
+    block of k >= 3 members this way gives k singles of weight 2 - k and
+    k(k-1)/2 pairs of weight 1; every terminal readout (the product of those
+    families over the entries) is evaluated in one ``chain_probabilities``
+    call, whose guard refuses more readouts times d^2 than
+    ``max_table_entries()``, and the weights are then summed out one entry at
+    a time.  The result must agree with the direct coarse evaluation.
     """
-    if len(outcomes) != len(schedule):
-        raise ValueError("one readout per entry required")
-    effective = [
-        tuple(res.members(f)) if res is not None else (f,)
-        for (_, _, res), f in zip(schedule.entries, outcomes)
-    ]
-    readouts = math.prod(k + k * (k - 1) // 2 if k >= 3 else 1 for k in map(len, effective))
-    _guard(readouts * system.dim * system.dim)
-
-    cache: dict[tuple, float] = {}
-    counter = [0]
-
-    def evaluate(effs: tuple[tuple, ...]) -> float:
-        if effs in cache:
-            return cache[effs]
-        steps = []
-        for (t, dev, res), members in zip(schedule.entries, effs):
-            proj = sum(dev.projector_for(f) for f in members)
-            steps.append((t, proj))
-        val = chain_probability(system, schedule.init, steps)
-        cache[effs] = val
-        counter[0] += 1
-        return val
-
-    def expand(effs: tuple[tuple, ...]) -> float:
-        for i, members in enumerate(effs):
-            if len(members) >= 3:
-                k = len(members)
-                total = 0.0
-                for f in members:
-                    total += (2 - k) * expand(effs[:i] + ((f,),) + effs[i + 1:])
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        pair = (members[a], members[b])
-                        total += expand(effs[:i] + (pair,) + effs[i + 1:])
-                return total
-        return evaluate(effs)
-
-    effs = tuple(effective)
-    recurrence = expand(effs)
+    families, weights = [], []
+    for (t, dev, _), members in zip(schedule.entries, _members(schedule, outcomes)):
+        k = len(members)
+        if k >= 3:
+            groups = [(f,) for f in members] + list(itertools.combinations(members, 2))
+            weights.append(np.array([2.0 - k] * k + [1.0] * (len(groups) - k)))
+        else:
+            groups = [members]
+            weights.append(np.ones(1))
+        families.append((t, [sum(dev.projector_for(f) for f in g) for g in groups]))
+    probs = chain_probabilities(system, schedule.init, families)
+    recurrence = probs
+    for w in reversed(weights):  # the last entry's outcome is the least significant digit
+        recurrence = recurrence.reshape(-1, len(w)) @ w
+    recurrence = float(recurrence[0])
     direct = quantum_coarse_prob(system, schedule, outcomes)
     what = f"pairwise recurrence {recurrence} disagrees with direct value {direct}"
     _within(what, abs(recurrence - direct), 1e-9, ConsistencyError)
     return PairwiseDecomposition(
-        recurrence_value=recurrence, direct_value=direct, term_count=counter[0]
+        recurrence_value=recurrence, direct_value=direct, term_count=len(probs)
     )
 
 

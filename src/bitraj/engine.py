@@ -181,8 +181,8 @@ def chain_probability(
 
     ``steps`` holds (time, reference-time projector) pairs in non-decreasing
     time order; equal times mean back-to-back application with no propagation
-    in between.  This is the diagonal of the bi-probability and the workhorse
-    for conditionals, survival series, and coarse readouts.
+    in between.  This is the diagonal of the bi-probability, taken for one
+    chain at a time: a direct coarse readout and the Zeno survival series.
     """
     val = bichain_value(system, init, steps, steps)
     return float(val.real)

@@ -597,8 +597,6 @@ def piecewise_propagator(
                 t_prev = min(t, end)
             if t <= end:
                 return op
-        if t > t_prev:
-            op = _expm_herm(*cleaned[-1][1], t - t_prev) @ op
-        return op
+        return _expm_herm(*cleaned[-1][1], t - t_prev) @ op
 
     return u

@@ -690,6 +690,16 @@ def test_default_init_is_maximally_mixed(tmp_path):
     assert code == 0
 
 
+def test_a_weights_init_reads_as_its_density(tmp_path):
+    weights = dict(ZX_BASE, init={"weights": [{"device": "Z", "outcome": "u", "weight": 1.0}]})
+    (tmp_path / "weights").mkdir()
+    code, by_weights, _ = run(tmp_path / "weights", "verify", weights)
+    assert code == 0
+    code, by_density, _ = run(tmp_path, "verify", ZX_BASE)
+    assert code == 0
+    assert by_weights["results"]["table_digest"] == by_density["results"]["table_digest"]
+
+
 # ---------------------------------------------------------------------------
 # every structural rejection of the config, pinned: exit 2, the JSON pointer
 # of the object that holds the offending key, and the key's name
@@ -899,6 +909,7 @@ PINNED_REJECTIONS = [
     ("uncertainty", ("params", "device_l"), None),
     # booleans
     ("mixed", ("init", "maximally_mixed"), 1),
+    ("mixed", ("init", "maximally_mixed"), False),
     ("map", ("params", "cross_check"), 1),
     ("map", ("params", "cross_check"), "true"),
     # labels
@@ -1122,9 +1133,8 @@ EXACT_ONLY = dict(PINNED_BASES["uncertainty"], params={"device_k": "X", "device_
     [
         (SAMPLE_BASE, 2**64 - 1),
         (PINNED_BASES["uncertainty"], 2**64 - 2),
-        (EXACT_ONLY, 2**64 - 2),
-    ],
-    ids=["sample", "uncertainty", "uncertainty-exact-only"],
+        ],
+    ids=["sample", "uncertainty"],
 )
 def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
     # seeds lie in [0, 2**64); the uncertainty verb's role-swapped run uses seed + 1
@@ -1136,6 +1146,15 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
     assert main([verb, "--config", write_config(tmp_path, past)]) == 2
     err = capsys.readouterr().err
     assert "config error at /params/seed: seed must be an integer in [0, 2**64 - " in err
+
+
+def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
+    # the exact matrix samples nothing, so a seed there is not read, whatever its value
+    for seed in (5, 2**64 - 1):
+        cfg = _mutated(EXACT_ONLY, ("params", "seed"), seed)
+        assert main(["uncertainty", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at /params/seed: 'seed' is read only together with 'n_samples'")
 
 
 @pytest.mark.parametrize(
@@ -1167,6 +1186,20 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         ("zx", ("system", "hamiltonian"), mat(np.full((2, 2), 1e308)), "/system/hamiltonian"),
         # ||H||^3 and ||H||^4 in the decay rate's self-check bounds overflow
         ("zeno", ("system", "hamiltonian"), mat(1e154 * SX), "/system/hamiltonian"),
+        ("zx", DEV0, {"name": "X", "observable": mat(SX), "outcomes": ["+", "-"]}, "/devices/0"),
+        ("zx", ("devices", 1, "name"), "X", "/devices/1/name"),
+        ("zx", DEV0 + ("outcomes",), DELETE, "/devices/0"),
+        ("zx", DEV0, {"name": "X"}, "/devices/0"),
+        ("zx", ("init",), {"density": mat(UP), "maximally_mixed": True}, "/init"),
+        ("zx", ("init",), {"time": 0.0}, "/init"),
+        (
+            "zx",
+            ("init",),
+            {"weights": [{"device": "Q", "outcome": "u", "weight": 1.0}]},
+            "/init/weights/0/device",
+        ),
+        ("zeno", ("params", "device"), "Q", "/params/device"),
+        ("cointerference", ("composite", "couplings"), [{"op_a": mat(SZ), "op_b": mat(SZ)}], "/params/bi_a"),
     ],
     ids=[
         "op_environment-shape",
@@ -1183,6 +1216,15 @@ def test_seed_past_its_range_exits_two(tmp_path, capsys, cfg, largest):
         "position-past-the-schedule",
         "hamiltonian-spectrum-overflows",
         "zeno-rate-bounds-overflow",
+        "observable-and-outcomes",
+        "duplicate-device",
+        "projectors-without-outcomes",
+        "device-without-a-form",
+        "init-with-two-forms",
+        "init-with-only-a-time",
+        "init-weight-on-an-unknown-device",
+        "unknown-params-device",
+        "co-interference-with-couplings",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):

@@ -11,6 +11,7 @@ from bitraj import (
     State,
     SystemSpec,
     TableSizeError,
+    coarse,
     coarse_device,
     extreme_coarse_delta,
     faux_coarse_prob,
@@ -18,6 +19,7 @@ from bitraj import (
     pairwise_decompose,
     quantum_coarse_prob,
 )
+from conftest import extra_peak
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 UP = np.diag([1.0, 0.0]).astype(complex)
@@ -93,6 +95,15 @@ def test_interference_rejects_identical_pair():
     sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
     with pytest.raises(ValueError):
         interference_term(QUBIT_FREE, sched, 0, ("+", "+"), ("+", "u"))
+
+
+@pytest.mark.parametrize("position", [-1, 2])
+def test_a_position_off_the_schedule_is_refused(position):
+    sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    with pytest.raises(IndexError, match="out of range"):
+        interference_term(QUBIT_FREE, sched, position, ("+", "-"), ("+", "u"))
+    with pytest.raises(IndexError, match="out of range"):
+        extreme_coarse_delta(QUBIT_FREE, sched, position)
 
 
 def test_resolution_validation():
@@ -201,11 +212,39 @@ def test_pairwise_recurrence_is_guarded(monkeypatch):
     assert exc.value.requested == 91 * 169
     # 12 outcomes in one block over 4 entries: the fine chains fit the default
     # cap (12^4 * 144), the 78^4 readouts are refused before any is evaluated
+    # or given a weight (one float each would take 282 MiB)
     monkeypatch.delenv("BITRAJ_MAX_TABLE")
     system, cs = _one_block_schedule(12, 4)
-    with pytest.raises(TableSizeError) as exc:
-        pairwise_decompose(system, cs, ("all",) * 4)
-    assert exc.value.requested == 78**4 * 144
+
+    def refused():
+        with pytest.raises(TableSizeError) as exc:
+            pairwise_decompose(system, cs, ("all",) * 4)
+        assert exc.value.requested == 78**4 * 144
+
+    assert extra_peak(refused) < 2**20
+
+
+def test_each_check_reads_its_readouts_in_one_engine_call(monkeypatch):
+    calls = {"chain_probabilities": 0, "chain_probability": 0}
+
+    def counted(name):
+        inner = getattr(coarse, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(coarse, name, counted(name))
+    system, cs = _one_block_schedule(4, 3)
+    assert pairwise_decompose(system, cs, ("all",) * 3).term_count == 10**3
+    # the direct value is the one single chain
+    assert calls == {"chain_probabilities": 1, "chain_probability": 1}
+    sched = Schedule(entries=((1.0, DEVX), (2.0, DEVZ)), init=UP_STATE)
+    interference_term(QUBIT_FREE, sched, 0, ("+", "-"), ("+", "u"))
+    assert calls == {"chain_probabilities": 2, "chain_probability": 1}
 
 
 def test_coarse_schedule_allows_equal_times():

@@ -165,6 +165,16 @@ def test_marginalize_pair_consistency():
         assert np.abs(reduced.matrix - direct.matrix).max() < 1e-12
 
 
+def test_marginalize_pair_rejects_a_position_it_cannot_sum_out():
+    system, sched = random_config(7, dim=2, n=2)
+    table = biprob_table(system, sched)
+    for pos in (-1, 2):
+        with pytest.raises(IndexError, match="out of range"):
+            marginalize_pair(table, pos)
+    with pytest.raises(ValueError, match="only entry"):
+        marginalize_pair(biprob_table(system, sched.without(1)), 0)
+
+
 def test_causality_is_final_entry_collapse():
     # summing the final bi-indices of the table gives the shorter table
     system, sched = random_config(42, dim=2, n=2)
@@ -329,6 +339,13 @@ def test_chain_probabilities_match_single_chains(case):
     ]
     got = chain_probabilities(system, init, steps)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_chains_reject_a_decreasing_time():
+    with pytest.raises(ValueError, match="chain times must be non-decreasing"):
+        chain_probability(QUBIT_FREE, UP_STATE, [(2.0, UP), (1.0, PX)])
+    with pytest.raises(ValueError, match="chain times must be non-decreasing"):
+        chain_probabilities(QUBIT_FREE, UP_STATE, [(2.0, [UP, DN]), (1.0, [PX, MX])])
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,14 @@ def test_piecewise_propagator_is_unitary_past_switch():
     assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
 
 
+def test_piecewise_propagator_extends_the_last_generator_past_its_end():
+    from bitraj import propagator
+
+    u = piecewise_propagator([(0.8, 0.5 * SZ), (2.0, 0.9 * SX)])
+    last = SystemSpec(dim=2, hamiltonian=0.9 * SX)
+    assert np.abs(u(3.5) - propagator(last, 1.5) @ u(2.0)).max() < 1e-12
+
+
 def test_piecewise_propagator_rejects_negative_time():
     u = piecewise_propagator([(1.0, 0.5 * SZ)])
     with pytest.raises(ValueError):
