@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cli import DEFAULT_TOLERANCES, CliError, _check, _config_error
+from .cli import _VERB_KEYS, DEFAULT_TOLERANCES, CliError, _check, _config_error
 from .coarse import (
     CoarseSchedule,
     Resolution,
@@ -78,10 +78,12 @@ def _check_time(system: SystemSpec, t: float, where: str) -> None:
         propagator(system, t)
 
 
-def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]:
+def _build_devices(cfg: dict, where: str = "") -> tuple[SystemSpec, dict[str, Device]]:
+    """The system of ``cfg``, a config or a composite factor, and its devices by name."""
+    system = _build_system(cfg["system"], where + "/system")
     devices: dict[str, Device] = {}
-    for i, obj in enumerate(items):
-        ptr = f"{where}/{i}"
+    for i, obj in enumerate(cfg["devices"]):
+        ptr = f"{where}/devices/{i}"
         name = obj["name"]
         if name in devices:
             raise CliError(f"config error at {ptr}/name: duplicate device {name!r}")
@@ -105,13 +107,13 @@ def _build_devices(items: list[dict], dim: int, where: str) -> dict[str, Device]
                     for j, p in enumerate(obj["projectors"])
                 )
                 dev = Device(name=name, outcomes=outcomes, projectors=projs)
-        if dev.dim != dim:
+        if dev.dim != system.dim:
             raise CliError(
                 f"config error at {ptr}: device dimension {dev.dim} does not "
-                f"match the system dimension {dim}"
+                f"match the system dimension {system.dim}"
             )
         devices[name] = dev
-    return devices
+    return system, devices
 
 
 def _build_resolution(obj: dict, device: Device, where: str) -> Resolution:
@@ -164,8 +166,7 @@ def _build_experiment(
     which needs strictly increasing times; otherwise the result is a
     ``CoarseSchedule``.
     """
-    system = _build_system(obj["system"], where + "/system")
-    devices = _build_devices(obj["devices"], system.dim, where + "/devices")
+    system, devices = _build_devices(obj, where)
     items = obj["schedule"]["entries"]
     t_first = float(items[0]["time"])
     init = _build_init(obj.get("init"), system, devices, t_first, plain, where + "/init")
@@ -237,15 +238,6 @@ def _seed_param(params: dict, runs: int = 1) -> int:
     return seed
 
 
-def _partner(params: dict, key: str, partner: str) -> None:
-    """Reject ``params[key]`` when ``params[partner]``, without which it is not read, is missing."""
-    if key in params and partner not in params:
-        raise CliError(
-            f"config error at /params/{key}: {key!r} is read only together with "
-            f"{partner!r}, which is missing"
-        )
-
-
 def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
     name = params[key]
     dev = devices.get(name)
@@ -279,6 +271,7 @@ def _readouts(devices: tuple[Device, ...], raw: list, where: str) -> tuple[Label
 
 @dataclass
 class _Context:
+    verb: str
     cfg: dict
     tolerances: dict
     results: dict = field(default_factory=dict)
@@ -289,8 +282,12 @@ class _Context:
     def params(self) -> dict:
         return self.cfg.get("params", {})
 
-    def tol(self, key: str) -> float:
-        return float(self.tolerances[key])
+    def check(self, key: str, value: float, *name_args) -> bool:
+        """Record the check that tolerance ``key`` bounds, its declared name filled with
+        ``name_args``; whether it passed."""
+        name, comparator = _VERB_KEYS[self.verb][2][key]
+        self.checks.append(_check(name.format(*name_args), value, self.tolerances[key], comparator))
+        return self.checks[-1]["pass"]
 
 
 def _cmd_table(ctx: _Context) -> None:
@@ -306,7 +303,7 @@ def _cmd_table(ctx: _Context) -> None:
             "table_digest": table.digest,
         }
     )
-    ctx.checks.append(_check("hermitianity", _max_hermitianity(m), ctx.tol("hermitianity"), "<="))
+    ctx.check("hermitianity", _max_hermitianity(m))
     ctx.artifacts["table.csv"] = table.write_csv
 
 
@@ -317,29 +314,18 @@ def _cmd_verify(ctx: _Context) -> None:
     ctx.results.update(rep.as_dict())
     ctx.results["schedule_digest"] = table.schedule_digest
     ctx.results["table_digest"] = table.digest
-    ctx.checks.extend(
-        [
-            _check("normalization", rep.normalization_error, ctx.tol("normalization"), "<="),
-            _check("biconsistency", rep.max_biconsistency_error, ctx.tol("biconsistency"), "<="),
-            _check("causality", rep.max_causality_violation, ctx.tol("causality"), "<="),
-            _check("hermitianity", rep.max_hermitianity_error, ctx.tol("hermitianity"), "<="),
-            _check("gram_min_eigenvalue", rep.min_gram_eigenvalue, ctx.tol("gram_min"), ">="),
-            _check(
-                "diagonal_negativity",
-                rep.max_diagonal_negativity,
-                ctx.tol("diagonal_negativity"),
-                "<=",
-            ),
-        ]
-    )
+    ctx.check("normalization", rep.normalization_error)
+    ctx.check("biconsistency", rep.max_biconsistency_error)
+    ctx.check("causality", rep.max_causality_violation)
+    ctx.check("hermitianity", rep.max_hermitianity_error)
+    ctx.check("gram_min", rep.min_gram_eigenvalue)
+    ctx.check("diagonal_negativity", rep.max_diagonal_negativity)
     ctx.artifacts["properties.csv"] = csv_text(
         "name,value,bound,comparator,pass", (c.values() for c in ctx.checks)
     )
 
 
 def _cmd_coarse(ctx: _Context) -> None:
-    _partner(ctx.params, "pair", "position")
-    _partner(ctx.params, "position", "pair")
     system, cs = _build_experiment(ctx.cfg, plain=False)
     outcomes = _readouts(cs.devices, ctx.params["outcomes"], "/params/outcomes")
     quantum = quantum_coarse_prob(system, cs, outcomes)
@@ -358,14 +344,7 @@ def _cmd_coarse(ctx: _Context) -> None:
             "direct": dec.direct_value,
             "terminal_readouts": dec.term_count,
         }
-        ctx.checks.append(
-            _check(
-                "pairwise_recurrence",
-                abs(dec.recurrence_value - dec.direct_value),
-                ctx.tol("pairwise"),
-                "<=",
-            )
-        )
+        ctx.check("pairwise", abs(dec.recurrence_value - dec.direct_value))
     except TableSizeError as exc:
         ctx.results["recurrence"] = {"skipped": str(exc)}
 
@@ -390,14 +369,7 @@ def _cmd_coarse(ctx: _Context) -> None:
             "from_biprob": term.from_biprob,
             "from_probabilities": term.from_probabilities,
         }
-        ctx.checks.append(
-            _check(
-                "interference_routes",
-                abs(term.from_biprob - term.from_probabilities),
-                ctx.tol("interference_routes"),
-                "<=",
-            )
-        )
+        ctx.check("interference_routes", abs(term.from_biprob - term.from_probabilities))
     ctx.artifacts["coarse.csv"] = csv_text(
         "quantum,faux,interference_total", [(quantum, faux, quantum - faux)]
     )
@@ -406,8 +378,6 @@ def _cmd_coarse(ctx: _Context) -> None:
 def _cmd_compose(ctx: _Context) -> None:
     from .composite import CompositeSpec, _check_tandem, co_interference, compose, factorization_delta
 
-    _partner(ctx.params, "bi_a", "bi_b")
-    _partner(ctx.params, "bi_b", "bi_a")
     comp = ctx.cfg["composite"]
     sys_a, sched_a = _build_experiment(comp["a"], plain=True, where="/composite/a")
     sys_b, sched_b = _build_experiment(comp["b"], plain=True, where="/composite/b")
@@ -417,12 +387,16 @@ def _cmd_compose(ctx: _Context) -> None:
         comp.get("couplings", []), "op_a", "op_b", "/composite/couplings", (sys_a.dim, sys_b.dim)
     )
     with _config_error("/composite"):
-        compose(CompositeSpec(sys_a, sys_b, couplings))
+        joint = compose(CompositeSpec(sys_a, sys_b, couplings))
+        _system_eig(joint)
+    # a strong coupling can push a phase of the joint evolution past float range
+    for i, t in enumerate(sched_a.times):
+        _check_time(joint, t, f"/composite/a/schedule/entries/{i}/time")
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
     ctx.results["coupled"] = bool(couplings)
     if not couplings:
-        ctx.checks.append(_check("factorization", delta, ctx.tol("factorization"), "<="))
+        ctx.check("factorization", delta)
 
     if "bi_a" in ctx.params:
         if couplings:
@@ -448,8 +422,7 @@ def _cmd_compose(ctx: _Context) -> None:
 def _cmd_markov(ctx: _Context) -> None:
     from .phenomena import markov_delta
 
-    system = _build_system(ctx.cfg["system"], "/system")
-    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    system, devices = _build_devices(ctx.cfg)
     device = _device_param(ctx.params, "device", devices)
     times = [float(t) for t in ctx.params["times"]]
     init = _build_init_spec(ctx.cfg["init"], devices)
@@ -465,7 +438,7 @@ def _cmd_markov(ctx: _Context) -> None:
     fine = device.is_fine_grained()
     ctx.results["fine_grained"] = fine
     if fine:
-        ctx.checks.append(_check("markov_factorization", rep.delta, ctx.tol("markov"), "<="))
+        ctx.check("markov", rep.delta)
     ctx.artifacts["markov.csv"] = csv_text(
         "delta,excluded,checked,fine_grained", [(rep.delta, rep.excluded, rep.checked, fine)]
     )
@@ -474,8 +447,7 @@ def _cmd_markov(ctx: _Context) -> None:
 def _cmd_zeno(ctx: _Context) -> None:
     from .phenomena import _rate_scale, zeno_scan
 
-    system = _build_system(ctx.cfg["system"], "/system")
-    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    system, devices = _build_devices(ctx.cfg)
     device = _device_param(ctx.params, "device", devices)
     outcome = _outcome(device, ctx.params["outcome"], "/params/outcome")
     total = float(ctx.params["T"])
@@ -500,10 +472,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     from .lab import estimate_uncertainty
     from .phenomena import uncertainty_csv, uncertainty_matrix
 
-    _partner(ctx.params, "dt", "n_samples")
-    _partner(ctx.params, "seed", "n_samples")
-    system = _build_system(ctx.cfg["system"], "/system")
-    devices = _build_devices(ctx.cfg["devices"], system.dim, "/devices")
+    system, devices = _build_devices(ctx.cfg)
     dev_k = _device_param(ctx.params, "device_k", devices)
     dev_l = _device_param(ctx.params, "device_l", devices)
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
@@ -513,14 +482,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     row_gap = float(np.abs(exact.sum(axis=0) - 1.0).max())
     col_gap = float(np.abs(exact.sum(axis=1) - 1.0).max())
     ctx.results["exact_matrix"] = matrix_to_json(exact.astype(complex))
-    ctx.checks.append(
-        _check(
-            "doubly_stochastic",
-            max(row_gap, col_gap),
-            ctx.tol("uncertainty_stochastic"),
-            "<=",
-        )
-    )
+    ctx.check("uncertainty_stochastic", max(row_gap, col_gap))
     ctx.artifacts["uncertainty.csv"] = uncertainty_csv(dev_k, dev_l, exact)
 
     if "n_samples" in ctx.params:
@@ -578,28 +540,17 @@ def _cmd_map_compare(ctx: _Context) -> None:
         rows.append(
             {"slices": n, "residual": residual, "tp_error": tp_err, "choi_min": choi_min}
         )
-        ctx.checks.append(_check(f"tp_error_slices_{n}", tp_err, ctx.tol("map_tp"), "<="))
-        ctx.checks.append(
-            _check(f"choi_min_slices_{n}", choi_min, ctx.tol("map_choi_min"), ">=")
-        )
+        ctx.check("map_tp", tp_err, n)
+        ctx.check("map_choi_min", choi_min, n)
     ctx.results["slices"] = rows
     ctx.results["exact_tp_error"] = exact.trace_preservation_error()
     if len(rows) >= 2:
-        ctx.checks.append(
-            _check(
-                "residual_refinement",
-                rows[-1]["residual"] - rows[0]["residual"],
-                ctx.tol("map_residual_slack"),
-                "<=",
-            )
-        )
+        ctx.check("map_residual_slack", rows[-1]["residual"] - rows[0]["residual"])
     if ctx.params.get("cross_check", False):
         enum = dynamical_map_bitraj(spec, t, slices[0], via_enumeration=True)
         gap = float(np.abs(enum.matrix - maps[0].matrix).max())
         ctx.results["enumeration_gap"] = gap
-        ctx.checks.append(
-            _check("enumeration_vs_transfer", gap, ctx.tol("map_cross_check"), "<=")
-        )
+        ctx.check("map_cross_check", gap)
     ctx.artifacts["map_compare.csv"] = csv_text(
         "slices,residual,tp_error,choi_min", (r.values() for r in rows)
     )
@@ -663,9 +614,7 @@ def _cmd_classical(ctx: _Context) -> None:
     )
     consistent = False  # without a surrogate there is nothing to be consistent
     if diag.surrogate is not None:
-        tol = ctx.tol("classical_consistency")
-        ctx.checks.append(_check("kolmogorov_consistency", diag.consistency_error, tol, "<="))
-        consistent = ctx.checks[-1]["pass"]
+        consistent = ctx.check("classical_consistency", diag.consistency_error)
     ctx.artifacts["classical.csv"] = csv_text(
         "offdiag_mass,threshold,consistent", [(diag.offdiag_mass, diag.threshold, consistent)]
     )
@@ -697,7 +646,7 @@ def run(verb: str, cfg: dict, tolerances: dict) -> _Context:
             _env_cap(name)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-    ctx = _Context(cfg=cfg, tolerances=tolerances)
+    ctx = _Context(verb, cfg, tolerances)
     try:
         _COMMANDS[verb](ctx)
     except TableSizeError as exc:

@@ -2,13 +2,17 @@
 
 One JSON config file describes the system, the measuring devices, the
 schedule and the command to run; the runner validates it strictly against
-the keys that command reads (any other key is rejected, bad entries are
-reported with JSON-pointer locations),
+the keys that command reads (any other key, and a key given without the
+partner it is read with, is rejected, bad entries are reported with
+JSON-pointer locations),
 executes the requested computation, and writes a machine-readable
 ``report.json`` plus per-command CSV artifacts into the output directory.
 This module parses the arguments, reads the config, checks its shape and
 writes the report, and imports nothing numeric: ``bitraj._verbs``, which
 ``main`` imports only for a config that passed, loads NumPy and runs the verb.
+Each verb's entry in ``_VERB_KEYS`` also declares its checks, the name and
+comparator of the check that each of its tolerance keys bounds, so a verb
+names a check only by that key.
 
 Exit codes: 0 — every asserted check held; 1 — a check failed (the report
 records which); 2 — the config was rejected or a size/dimension guard fired.
@@ -119,29 +123,34 @@ _INIT = {
 _FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
 _BI = {"plus": _LABELS, "minus": _LABELS}
 
-# verb -> (the top-level blocks it reads, the ``params`` keys it reads, the
-# ``tolerances`` keys it reads); a block or ``params`` key without ``?`` is
-# required, every ``tolerances`` key is optional.  The compose verb reads no
+# verb -> (the top-level blocks it reads, the ``params`` keys it reads, its
+# checks); a block or ``params`` key without ``?`` is required.  The checks map
+# each ``tolerances`` key the verb reads, all optional, to the name and the
+# comparator of the check whose bound it sets; ``{}`` in a name takes the
+# slice count of map-compare's per-slice checks.  The compose verb reads no
 # top-level ``system``, but its configs have always carried one, so it stays
 # required.
 _VERB_KEYS = {
-    "table": (_FACTOR, {}, ("hermitianity",)),
+    "table": (_FACTOR, {}, {"hermitianity": ("hermitianity", "<=")}),
     "verify": (
         _FACTOR,
         {},
-        (
-            "normalization",
-            "biconsistency",
-            "causality",
-            "hermitianity",
-            "gram_min",
-            "diagonal_negativity",
-        ),
+        {
+            "normalization": ("normalization", "<="),
+            "biconsistency": ("biconsistency", "<="),
+            "causality": ("causality", "<="),
+            "hermitianity": ("hermitianity", "<="),
+            "gram_min": ("gram_min_eigenvalue", ">="),
+            "diagonal_negativity": ("diagonal_negativity", "<="),
+        },
     ),
     "coarse": (
         _FACTOR,
         {"outcomes": [_LABEL, 0, None], "pair?": [_LABEL, 2, 2], "position?": "an integer >= 0"},
-        ("pairwise", "interference_routes"),
+        {
+            "pairwise": ("pairwise_recurrence", "<="),
+            "interference_routes": ("interference_routes", "<="),
+        },
     ),
     "compose": (
         {
@@ -155,7 +164,7 @@ _VERB_KEYS = {
             },
         },
         {"bi_a?": _BI, "bi_b?": _BI},
-        ("factorization",),
+        {"factorization": ("factorization", "<=")},
     ),
     "markov": (
         {
@@ -164,7 +173,7 @@ _VERB_KEYS = {
             "init": {"weights": _WEIGHTS, "time?": "a number"},
         },
         {"device": "a string", "times": ["a number", 2, None]},
-        ("markov",),
+        {"markov": ("markov_factorization", "<=")},
     ),
     "zeno": (
         {"system": _SYSTEM, "devices": _DEVICES},
@@ -174,7 +183,7 @@ _VERB_KEYS = {
             "T": "a number",
             "n_list": ["an integer >= 1", 1, None],
         },
-        (),
+        {},
     ),
     "uncertainty": (
         {"system": _SYSTEM, "devices": _DEVICES},
@@ -186,7 +195,7 @@ _VERB_KEYS = {
             "n_samples?": "an integer >= 1",
             "seed?": "an integer >= 0",
         },
-        ("uncertainty_stochastic",),
+        {"uncertainty_stochastic": ("doubly_stochastic", "<=")},
     ),
     "map-compare": (
         {
@@ -198,15 +207,24 @@ _VERB_KEYS = {
             "env_init": {"density": _MATRIX},
         },
         {"t": "a number", "slices": ["an integer >= 1", 1, None], "cross_check?": "a boolean"},
-        ("map_tp", "map_choi_min", "map_residual_slack", "map_cross_check"),
+        {
+            "map_tp": ("tp_error_slices_{}", "<="),
+            "map_choi_min": ("choi_min_slices_{}", ">="),
+            "map_residual_slack": ("residual_refinement", "<="),
+            "map_cross_check": ("enumeration_vs_transfer", "<="),
+        },
     ),
-    "sample": (_FACTOR, {"n_samples": "an integer >= 1", "seed?": "an integer >= 0"}, ()),
-    "classical": (_FACTOR, {"threshold?": "a number"}, ("classical_consistency",)),
+    "sample": (_FACTOR, {"n_samples": "an integer >= 1", "seed?": "an integer >= 0"}, {}),
+    "classical": (
+        _FACTOR,
+        {"threshold?": "a number"},
+        {"classical_consistency": ("kolmogorov_consistency", "<=")},
+    ),
 }
 VERBS = tuple(_VERB_KEYS)
 
 
-def _config_shape(verb: str, blocks: dict, params: dict, tolerances: tuple) -> dict:
+def _config_shape(verb: str, blocks: dict, params: dict, checks: dict) -> dict:
     """The whole config shape of ``verb``, with a new ``command`` leaf that admits only ``verb``."""
     command = f"{verb!r}, the verb on the command line"
     _LEAVES[command] = lambda x: x == verb
@@ -216,11 +234,18 @@ def _config_shape(verb: str, blocks: dict, params: dict, tolerances: tuple) -> d
         "command": command,
         **blocks,
         params_key: params,
-        "tolerances?": {key + "?": "a number" for key in tolerances},
+        "tolerances?": {key + "?": "a number" for key in checks},
     }
 
 
 _CONFIG_SHAPES = {verb: _config_shape(verb, *keys) for verb, keys in _VERB_KEYS.items()}
+
+# verb -> ``params`` key -> the key without which it is not read, in checking order
+_PARTNERS = {
+    "coarse": {"pair": "position", "position": "pair"},
+    "compose": {"bi_a": "bi_b", "bi_b": "bi_a"},
+    "uncertainty": {"dt": "n_samples", "seed": "n_samples"},
+}
 
 
 def _shaped(value: Any, shape: Any, ptr: str, errors: list[str]) -> Any:
@@ -261,11 +286,19 @@ def _shaped(value: Any, shape: Any, ptr: str, errors: list[str]) -> Any:
 
 
 def _validate_schema(cfg: Any, verb: str) -> dict:
-    """Reject ``cfg`` unless it fits ``verb``'s shape; returns it with integer leaves as ints."""
+    """Reject ``cfg`` unless it fits ``verb``'s shape and has no ``params`` key without its
+    partner; returns it with integer leaves as ints."""
     errors: list[str] = []
     cfg = _shaped(cfg, _CONFIG_SHAPES[verb], "", errors)
     if errors:
         raise CliError("\n".join(f"config error at {e}" for e in errors))
+    params = cfg.get("params", {})
+    for key, partner in _PARTNERS.get(verb, {}).items():
+        if key in params and partner not in params:
+            raise CliError(
+                f"config error at /params/{key}: {key!r} is read only together with "
+                f"{partner!r}, which is missing"
+            )
     return cfg
 
 

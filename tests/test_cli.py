@@ -439,8 +439,11 @@ def _main_in_a_fresh_interpreter(argv: list[str], before: str = "") -> dict:
 
 def test_help_and_a_rejected_config_never_load_numpy(tmp_path):
     nan = dict(_readme_config(), tolerances={"normalization": float("nan")})
-    argv = ["verify", "--config", write_config(tmp_path, nan), "--out", str(tmp_path / "out")]
-    for args, code in [(argv, 2), (["--help"], 0)]:
+    lone_pair = _mutated(PINNED_BASES["coarse"], ("params", "position"), DELETE)
+    out = ["--out", str(tmp_path / "out")]
+    nan_argv = ["verify", "--config", write_config(tmp_path, nan, "nan.json"), *out]
+    pair_argv = ["coarse", "--config", write_config(tmp_path, lone_pair, "pair.json"), *out]
+    for args, code in [(nan_argv, 2), (pair_argv, 2), (["--help"], 0)]:
         ran = _main_in_a_fresh_interpreter(args)
         assert (ran["code"], ran["numpy"]) == (code, False)
     assert not (tmp_path / "out").exists()
@@ -1200,6 +1203,9 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         ),
         ("zeno", ("params", "device"), "Q", "/params/device"),
         ("cointerference", ("composite", "couplings"), [{"op_a": mat(SZ), "op_b": mat(SZ)}], "/params/bi_a"),
+        # the joint Hamiltonian's eigenvalues are +-1e308: the phase at time 2.0 is not finite
+        ("compose", COUPLING_AB + ("strength",), 1e308, "/composite/a/schedule/entries/1/time"),
+        ("compose", COUPLING_AB + ("strength",), -1e308, "/composite/a/schedule/entries/1/time"),
     ],
     ids=[
         "op_environment-shape",
@@ -1225,6 +1231,8 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         "init-weight-on-an-unknown-device",
         "unknown-params-device",
         "co-interference-with-couplings",
+        "compose-coupling-phase-overflows",
+        "compose-negative-coupling-phase-overflows",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):
@@ -1476,7 +1484,13 @@ def test_each_tolerance_a_verb_takes_bounds_one_of_its_checks(tmp_path, verb, ke
         cfg["params"]["threshold"] = 1.0  # the ZX table passes as classical, so its check runs
     code, report, _ = run(tmp_path, verb, cfg)
     assert code in (0, 1)
-    assert 0.125 in [c["bound"] for c in report["checks"]]
+    bounded = [c for c in report["checks"] if c["bound"] == 0.125]
+    assert bounded
+    # the declared check: its name (a map-compare name is filled with a slice count)
+    # and its comparator
+    name, comparator = _VERB_KEYS[verb][2][key]
+    names = {name.format(n) for n in cfg.get("params", {}).get("slices", [None])}
+    assert all(c["name"] in names and c["comparator"] == comparator for c in bounded)
 
 
 def test_every_tolerance_but_the_classical_threshold_is_taken():

@@ -1,6 +1,9 @@
-"""The package namespace: lazy loading, public names and submodule access."""
+"""The package namespace: lazy loading, public names and submodule access; the
+oldest Python the project declares parses every source file."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +83,21 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         bitraj.nonexistent
     assert "biprob_table" in dir(bitraj)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_source_file_parses_as_python_3_10(path):
+    # the offline part of CI's Python 3.10 job (``requires-python = ">=3.10"``):
+    # grammar newer than 3.10 (``except*``, PEP 695 ``type`` aliases and generics)
+    # fails here.  Names are not resolved, so a stdlib module or API added after
+    # 3.10 (``tomllib``, ``typing.Self``, ``datetime.UTC``, ``enum.StrEnum``)
+    # passes, and ``feature_version`` is best effort, so the 3.10 job itself is
+    # still what decides.
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
