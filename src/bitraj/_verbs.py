@@ -9,9 +9,7 @@ functions that use them, so a verb loads only its own layers.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -131,13 +129,9 @@ def _build_init(
     system: SystemSpec,
     devices: dict[str, Device],
     t_first: float,
-    strict_times: bool,
     where: str = "/init",
 ) -> State:
-    if strict_times:
-        default_time = 0.0 if t_first > 0 else t_first - 1.0
-    else:
-        default_time = min(0.0, t_first)
+    default_time = min(0.0, t_first)
     if obj is None:
         obj = {"maximally_mixed": True}
     time = float(obj.get("time", default_time))
@@ -157,19 +151,15 @@ def _build_init(
         return State(np.eye(system.dim) / system.dim, time_tag=time)
 
 
-def _build_experiment(
-    obj: dict, plain: bool, where: str = ""
-) -> tuple[SystemSpec, Schedule | CoarseSchedule]:
+def _build_experiment(obj: dict, where: str = "") -> tuple[SystemSpec, CoarseSchedule]:
     """The system and the schedule, with its init, of ``obj``: a config or a composite factor.
 
-    ``plain`` folds each resolution into a coarse device and gives a ``Schedule``,
-    which needs strictly increasing times; otherwise the result is a
-    ``CoarseSchedule``.
+    A verb that reads no resolution takes the folded ``Schedule``, ``cs.schedule``.
     """
     system, devices = _build_devices(obj, where)
     items = obj["schedule"]["entries"]
     t_first = float(items[0]["time"])
-    init = _build_init(obj.get("init"), system, devices, t_first, plain, where + "/init")
+    init = _build_init(obj.get("init"), system, devices, t_first, where + "/init")
     where += "/schedule"
     entries = []
     for i, e in enumerate(items):
@@ -183,10 +173,7 @@ def _build_experiment(
         _check_time(system, e["time"], ptr + "/time")
         entries.append((float(e["time"]), dev, res))
     with _config_error(where):
-        cs = CoarseSchedule(entries=tuple(entries), init=init)
-        if plain:
-            return system, Schedule(entries=tuple(zip(cs.times, cs.devices)), init=init)
-        return system, cs
+        return system, CoarseSchedule(entries=tuple(entries), init=init)
 
 
 def _build_init_spec(
@@ -291,8 +278,8 @@ class _Context:
 
 
 def _cmd_table(ctx: _Context) -> None:
-    system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule)
+    system, cs = _build_experiment(ctx.cfg)
+    table = biprob_table(system, cs.schedule)
     m = table.matrix
     ctx.results.update(
         {
@@ -308,8 +295,8 @@ def _cmd_table(ctx: _Context) -> None:
 
 
 def _cmd_verify(ctx: _Context) -> None:
-    system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule)
+    system, cs = _build_experiment(ctx.cfg)
+    table = biprob_table(system, cs.schedule)
     rep = property_report(table)
     ctx.results.update(rep.as_dict())
     ctx.results["schedule_digest"] = table.schedule_digest
@@ -326,27 +313,30 @@ def _cmd_verify(ctx: _Context) -> None:
 
 
 def _cmd_coarse(ctx: _Context) -> None:
-    system, cs = _build_experiment(ctx.cfg, plain=False)
+    system, cs = _build_experiment(ctx.cfg)
     outcomes = _readouts(cs.devices, ctx.params["outcomes"], "/params/outcomes")
-    quantum = quantum_coarse_prob(system, cs, outcomes)
+    try:  # the recurrence evaluates the direct chain too, so ``quantum`` reads it there
+        dec = pairwise_decompose(system, cs, outcomes)
+        quantum = dec.direct_value
+        recurrence = {
+            "value": dec.recurrence_value,
+            "direct": dec.direct_value,
+            "terminal_readouts": dec.term_count,
+        }
+    except TableSizeError as exc:
+        dec, quantum = None, quantum_coarse_prob(system, cs, outcomes)
+        recurrence = {"skipped": str(exc)}
     faux = faux_coarse_prob(system, cs, outcomes)
     ctx.results.update(
         {
             "quantum": quantum,
             "faux": faux,
             "interference_total": quantum - faux,
+            "recurrence": recurrence,
         }
     )
-    try:
-        dec = pairwise_decompose(system, cs, outcomes)
-        ctx.results["recurrence"] = {
-            "value": dec.recurrence_value,
-            "direct": dec.direct_value,
-            "terminal_readouts": dec.term_count,
-        }
+    if dec is not None:
         ctx.check("pairwise", abs(dec.recurrence_value - dec.direct_value))
-    except TableSizeError as exc:
-        ctx.results["recurrence"] = {"skipped": str(exc)}
 
     if "pair" in ctx.params:
         position = ctx.params["position"]
@@ -355,8 +345,7 @@ def _cmd_coarse(ctx: _Context) -> None:
             (t, fine if i == position else dev)
             for i, ((t, fine, _), dev) in enumerate(zip(cs.entries, cs.devices))
         )
-        with _config_error("/schedule"):
-            mixed = Schedule(entries=entries, init=cs.init)
+        mixed = Schedule(entries=entries, init=cs.init)
         if position >= len(cs):
             raise CliError(
                 f"config error at /params/position: position {position} is past the "
@@ -379,8 +368,9 @@ def _cmd_compose(ctx: _Context) -> None:
     from .composite import CompositeSpec, _check_tandem, co_interference, compose, factorization_delta
 
     comp = ctx.cfg["composite"]
-    sys_a, sched_a = _build_experiment(comp["a"], plain=True, where="/composite/a")
-    sys_b, sched_b = _build_experiment(comp["b"], plain=True, where="/composite/b")
+    sys_a, cs_a = _build_experiment(comp["a"], "/composite/a")
+    sys_b, cs_b = _build_experiment(comp["b"], "/composite/b")
+    sched_a, sched_b = cs_a.schedule, cs_b.schedule
     with _config_error("/composite/b/schedule/entries"):
         _check_tandem(sched_a, sched_b)
     couplings = _couplings(
@@ -557,11 +547,10 @@ def _cmd_map_compare(ctx: _Context) -> None:
 
 
 def _cmd_sample(ctx: _Context) -> None:
-    from .lab import empirical_distribution, sample_sequences
+    from .lab import sample_sequences
 
-    system, cs = _build_experiment(ctx.cfg, plain=False)
-    run = sample_sequences(system, cs, ctx.params["n_samples"], _seed_param(ctx.params))
-    dist = empirical_distribution(run)
+    system, cs = _build_experiment(ctx.cfg)
+    run = sample_sequences(system, cs.schedule, ctx.params["n_samples"], _seed_param(ctx.params))
     ctx.results.update(
         {
             "n_samples": run.n_samples,
@@ -571,28 +560,27 @@ def _cmd_sample(ctx: _Context) -> None:
         }
     )
 
-    if math.prod(dev.n_outcomes for dev in cs.devices) <= 4096:
-        worst_zero = 0.0
-        within = 0
-        total_checked = 0
-        steps = [(t, dev.projectors) for t, dev in zip(cs.times, cs.devices)]
-        probs = chain_probabilities(system, cs.init, steps)
-        cells = itertools.product(*(dev.outcomes for dev in cs.devices))
-        for seq, p in zip(cells, probs.tolist()):
-            p_hat = dist.probabilities.get(seq, 0.0)
-            if p <= 1e-300 and p_hat > 0.0:
-                worst_zero = max(worst_zero, p_hat)
-            sigma = math.sqrt(max(p * (1.0 - p), 0.0) / run.n_samples)
-            if p > 1e-300:
-                total_checked += 1
-                if abs(p_hat - p) <= 4.0 * max(sigma, 1e-12):
-                    within += 1
+    # coverage: every cell's exact probability against its sampled frequency
+    steps = [(t, dev.projectors) for t, dev in zip(cs.times, cs.devices)]
+    try:
+        p = chain_probabilities(system, cs.init, steps)
+    except TableSizeError as exc:
+        ctx.results["coverage_skipped"] = str(exc)
+    else:
+        shape = [dev.n_outcomes for dev in cs.devices]
+        seqs = [[dev.outcome_index(f) for dev, f in zip(cs.devices, seq)] for seq in run.counts]
+        p_hat = np.zeros(len(p))
+        p_hat[np.ravel_multi_index(np.array(seqs).T, shape)] = list(run.counts.values())
+        p_hat /= run.n_samples
+        possible = p > 1e-300
+        sigma = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / run.n_samples)
+        within = np.abs(p_hat - p) <= 4.0 * np.maximum(sigma, 1e-12)
+        checked = int(possible.sum())
         ctx.results["fraction_within_4sigma"] = (
-            within / total_checked if total_checked else 1.0
+            int((within & possible).sum()) / checked if checked else 1.0
         )
-        ctx.checks.append(
-            _check("zero_probability_cells_hit", worst_zero, 0.0, "<=")
-        )
+        worst_zero = float(p_hat[p <= 1e-300].max(initial=0.0))
+        ctx.checks.append(_check("zero_probability_cells_hit", worst_zero, 0.0, "<="))
     ctx.artifacts["samples.csv"] = run.to_csv()
     ctx.artifacts["run.json"] = json.dumps(run.to_json(), indent=2) + "\n"
 
@@ -600,8 +588,8 @@ def _cmd_sample(ctx: _Context) -> None:
 def _cmd_classical(ctx: _Context) -> None:
     from .master import classical_diagnostic
 
-    system, schedule = _build_experiment(ctx.cfg, plain=True)
-    table = biprob_table(system, schedule)
+    system, cs = _build_experiment(ctx.cfg)
+    table = biprob_table(system, cs.schedule)
     threshold = float(ctx.params.get("threshold", DEFAULT_TOLERANCES["classical_threshold"]))
     diag = classical_diagnostic(table, threshold=threshold)
     ctx.results.update(

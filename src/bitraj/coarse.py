@@ -11,9 +11,7 @@ when everything commutes) do the two routes agree.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -112,47 +110,43 @@ def coarse_device(device: Device, resolution: Resolution) -> Device:
 class CoarseSchedule:
     """Schedule whose entries may carry a resolution (None = fine readout).
 
-    Times are finite and non-decreasing; equal times mean back-to-back projections with
-    no propagation in between.  Reads like a ``Schedule`` through ``times``,
-    ``devices`` (each resolution folded in by ``coarse_device``), ``init``
-    and ``digest``.
+    ``schedule`` is the ``Schedule`` of its times over each entry's device
+    with its resolution folded in by ``coarse_device``; building it is the
+    validation, so the times follow ``Schedule``'s one rule, and a resolution
+    made for another device is rejected by ``coarse_device``.  Reads like a
+    ``Schedule``: ``times``, ``devices``, ``digest``, ``digest_payload`` and
+    ``len`` read through ``schedule``, and ``init`` is ``schedule.init``.
     """
 
     entries: tuple[tuple[float, Device, Resolution | None], ...]
     init: State
+    schedule: Schedule = field(init=False, repr=False)
 
     def __post_init__(self):
         entries = tuple((float(t), dev, res) for t, dev, res in self.entries)
         object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError("schedule needs at least one entry")
-        t_prev = self.init.time_tag
-        for t, dev, res in entries:
-            if not math.isfinite(t):
-                raise ValueError(f"schedule time {t} is not finite")
-            if t < t_prev - 1e-15:
-                raise ValueError("times must be non-decreasing and not before t0")
-            if dev.dim != self.init.dim:
-                raise ValueError(f"device {dev.name!r} dim mismatch")
-            if res is not None and res.device.outcomes != dev.outcomes:
-                raise ValueError("resolution does not belong to the entry's device")
-            t_prev = t
+        folded = tuple(
+            (t, dev if res is None else coarse_device(dev, res)) for t, dev, res in entries
+        )
+        object.__setattr__(self, "schedule", Schedule(entries=folded, init=self.init))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.schedule)
 
     @property
     def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _, _ in self.entries)
+        return self.schedule.times
 
-    @cached_property
+    @property
     def devices(self) -> tuple[Device, ...]:
-        return tuple(
-            dev if res is None else coarse_device(dev, res) for _, dev, res in self.entries
-        )
+        return self.schedule.devices
 
-    digest_payload = Schedule.digest_payload
-    digest = Schedule.digest
+    @property
+    def digest(self) -> str:
+        return self.schedule.digest
+
+    def digest_payload(self) -> dict:
+        return self.schedule.digest_payload()
 
 
 def quantum_coarse_prob(

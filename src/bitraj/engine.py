@@ -112,8 +112,9 @@ class BiSequence:
 class Schedule:
     """Measurement times with their devices, plus the initial condition.
 
-    Times are finite, strictly increasing and all later than the initial
-    condition's time tag.
+    Times are finite, non-decreasing and none is before the initial
+    condition's time tag; both comparisons are exact.  Equal times mean
+    back-to-back readouts with no propagation in between.
     """
 
     entries: tuple[tuple[float, Device], ...]
@@ -128,9 +129,9 @@ class Schedule:
         for t, dev in entries:
             if not math.isfinite(t):
                 raise ValueError(f"schedule time {t} is not finite")
-            if t <= t_prev:
+            if t < t_prev:
                 raise ValueError(
-                    f"schedule times must be strictly increasing and after "
+                    f"schedule times must be non-decreasing and not before "
                     f"t0={self.init.time_tag}; got {t} after {t_prev}"
                 )
             if dev.dim != self.init.dim:
@@ -204,7 +205,7 @@ def _chain_operator(system: SystemSpec, steps: Sequence[tuple[float, np.ndarray]
     op = np.eye(system.dim, dtype=complex)
     t_prev = None
     for t, proj in steps:
-        if t_prev is not None and t < t_prev - 1e-15:
+        if t_prev is not None and t < t_prev:
             raise ValueError("chain times must be non-decreasing")
         t_prev = t
         (pt,) = _heisenberg(system, (proj,), t)
@@ -249,7 +250,7 @@ def _leaves(
     leaves = _sqrt_psd(init.density).reshape(1, d, d)
     t_prev = None
     for t, projs in steps:
-        if t_prev is not None and t < t_prev - 1e-15:
+        if t_prev is not None and t < t_prev:
             raise ValueError("chain times must be non-decreasing")
         t_prev = t
         u = core.propagator(system, t) if propagator is None else propagator(t)

@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .coarse import CoarseSchedule, Resolution, _block_label
+from .coarse import Resolution, _block_label
 from .core import ConsistencyError, Device, Label, State, SystemSpec, heisenberg_projectors
 from .engine import Schedule
 from .phenomena import uncertainty_matrix
@@ -301,7 +301,7 @@ def _check_seed(seed, runs: int = 1) -> None:
 
 def sample_sequences(
     system: SystemSpec,
-    schedule: Schedule | CoarseSchedule,
+    schedule: Schedule,
     n_samples: int,
     seed: int,
     workers: int = 1,
@@ -315,7 +315,7 @@ def sample_sequences(
     reached outcome prefix is built once while the schedule's table is
     cached: runs of the same initial density and Heisenberg projectors share
     one memo of at most ``_CHUNK`` nodes in all, which never changes the
-    counts.
+    counts.  A ``CoarseSchedule`` samples as its folded ``Schedule``.
     """
     if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
@@ -458,14 +458,8 @@ def estimate_uncertainty(
     _check_seed(seed, runs=2)
     d = system.dim
     mixed = State(np.eye(d) / d, time_tag=min(0.0, float(t)))
-    fwd = CoarseSchedule(
-        entries=((float(t), dev_l, None), (float(t) + float(dt), dev_k, None)),
-        init=mixed,
-    )
-    swp = CoarseSchedule(
-        entries=((float(t), dev_k, None), (float(t) + float(dt), dev_l, None)),
-        init=mixed,
-    )
+    fwd = Schedule(entries=((float(t), dev_l), (float(t) + float(dt), dev_k)), init=mixed)
+    swp = Schedule(entries=((float(t), dev_k), (float(t) + float(dt), dev_l)), init=mixed)
     run_fwd = sample_sequences(system, fwd, n_samples, seed)
     run_swp = sample_sequences(system, swp, n_samples, seed + 1)
 

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coarse import CoarseSchedule
 from .core import (
     ConsistencyError,
     Device,
@@ -95,17 +94,17 @@ def init_metric(init: InitSpec, system: SystemSpec) -> State:
 
 def conditional_prob(
     system: SystemSpec,
-    schedule: Schedule | CoarseSchedule,
+    schedule: Schedule,
     given: Sequence[Label],
     query: Label,
 ) -> float:
     """Bayes quotient P(last readout = query | earlier readouts = given).
 
     The schedule's final entry is the queried readout; ``given`` fixes all the
-    earlier ones.  Equal times in a coarse schedule mean back-to-back
-    projections, which hosts the rapid-remeasurement idealization exactly.
-    The joint probabilities of every final readout are computed together; their
-    sum is the probability of ``given``.
+    earlier ones.  Equal times mean back-to-back projections, which hosts
+    the rapid-remeasurement idealization exactly.  A ``CoarseSchedule`` reads
+    as its folded ``Schedule``.  The joint probabilities of every final
+    readout are computed together; their sum is the probability of ``given``.
     """
     n = len(schedule)
     if len(given) != n - 1:

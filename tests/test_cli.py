@@ -553,28 +553,31 @@ def test_table_guard_and_force_large(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_coarse_skips_a_recurrence_over_the_guard(tmp_path, monkeypatch):
-    # one 12-outcome block read out 4 times: the fine chains (12^4 * 144 leaf
-    # entries) fit the default cap, the recurrence's 78^4 readouts do not
-    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
-    dim = 12
+def _one_block_coarse(dim: int, n: int) -> dict:
+    """A ``coarse`` config that reads all ``dim`` outcomes of a device as one block, ``n`` times."""
     dev = {
         "name": "W",
         "outcomes": list(range(dim)),
         "projectors": [mat(np.diag(np.eye(dim)[k])) for k in range(dim)],
     }
     block = {"blocks": [list(range(dim))], "labels": ["all"]}
-    cfg = {
+    return {
         "schema_version": 1,
         "command": "coarse",
         "system": {"dim": dim, "hamiltonian": mat(np.zeros((dim, dim)))},
         "devices": [dev],
         "schedule": {
-            "entries": [{"time": j + 1.0, "device": "W", "resolution": block} for j in range(4)]
+            "entries": [{"time": j + 1.0, "device": "W", "resolution": block} for j in range(n)]
         },
-        "params": {"outcomes": ["all"] * 4},
+        "params": {"outcomes": ["all"] * n},
     }
-    code, report, _ = run(tmp_path, "coarse", cfg)
+
+
+def test_coarse_skips_a_recurrence_over_the_guard(tmp_path, monkeypatch):
+    # one 12-outcome block read out 4 times: the fine chains (12^4 * 144 leaf
+    # entries) fit the default cap, the recurrence's 78^4 readouts do not
+    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
+    code, report, _ = run(tmp_path, "coarse", _one_block_coarse(12, 4))
     assert code == 0
     results = report["results"]
     assert results["quantum"] == pytest.approx(1.0, abs=1e-12)
@@ -583,6 +586,32 @@ def test_coarse_skips_a_recurrence_over_the_guard(tmp_path, monkeypatch):
         "skipped": f"enumeration size {78**4 * 144} exceeds the guard 10000000; "
         "raise BITRAJ_MAX_TABLE if this is intended"
     }
+
+
+@pytest.mark.parametrize("recurrence", ["runs", "skipped"])
+def test_coarse_evaluates_its_direct_chain_once(tmp_path, monkeypatch, recurrence):
+    from bitraj import _verbs, coarse
+
+    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
+    calls = []
+    direct = coarse.quantum_coarse_prob
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    # the verb's own name and the one pairwise_decompose looks up
+    monkeypatch.setattr(coarse, "quantum_coarse_prob", counted)
+    monkeypatch.setattr(_verbs, "quantum_coarse_prob", counted)
+    cfg = PINNED_BASES["coarse"] if recurrence == "runs" else _one_block_coarse(12, 4)
+    code, report, _ = run(tmp_path, "coarse", cfg)
+    assert code == 0
+    assert len(calls) == 1
+    results = report["results"]
+    assert list(results)[:4] == ["quantum", "faux", "interference_total", "recurrence"]
+    assert ("skipped" in results["recurrence"]) == (recurrence == "skipped")
+    if recurrence == "runs":
+        assert results["recurrence"]["direct"] == results["quantum"]
 
 
 def test_markov_guard_exits_two(tmp_path, capsys, monkeypatch):
@@ -1253,6 +1282,146 @@ def test_the_edges_of_those_meaning_errors_still_run(tmp_path, base, path, value
     assert code == 0
 
 
+# ---------------------------------------------------------------------------
+# one time rule for every schedule: times are non-decreasing and none is before
+# the init time; equal times are back-to-back readouts
+
+
+def _retimed(base: str, times: list, init_time: float | None = None) -> dict:
+    cfg = json.loads(json.dumps(PINNED_BASES[base]))
+    for entry, t in zip(cfg["schedule"]["entries"], times):
+        entry["time"] = t
+    if init_time is not None:
+        cfg["init"]["time"] = init_time
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "base, times, init_time",
+    [
+        ("zx", [1.0, 1.0], None),
+        ("zx", [1.0, 2.0], 1.0),
+        ("table", [1.0, 1.0], None),
+        ("classical", [0.0, 0.0], None),
+        ("coarse", [1.0, 1.0], None),
+        ("coarse", [1.0, 1.0], 1.0),
+        ("sample", [2.0, 2.0], 2.0),
+    ],
+    ids=[
+        "verify-equal",
+        "verify-first-at-t0",
+        "table-equal",
+        "classical-equal-at-zero",
+        "coarse-equal-with-pair",
+        "coarse-all-at-t0-with-pair",
+        "sample-all-at-t0",
+    ],
+)
+def test_equal_times_and_a_first_time_at_t0_run(tmp_path, base, times, init_time):
+    # under H = 0 no readout depends on its time, so every result but the digests is the base's
+    cfg = _retimed(base, times, init_time)
+    (tmp_path / "retimed").mkdir()
+    code, report, _ = run(tmp_path / "retimed", cfg["command"], cfg)
+    assert code == 0
+    _, expected, _ = run(tmp_path, cfg["command"], PINNED_BASES[base])
+
+    def undigested(results):
+        return {k: v for k, v in results.items() if not k.endswith("_digest")}
+
+    assert undigested(report["results"]) == undigested(expected["results"])
+    assert report["checks"] == expected["checks"]
+
+
+def test_sample_reports_a_coverage_past_the_guard_and_exits_zero(tmp_path, monkeypatch):
+    # two readouts of a 64-outcome observable: 64^2 cells of 64^2 leaf entries
+    # each are past the default cap, so only the coverage check is left out
+    monkeypatch.delenv("BITRAJ_MAX_TABLE", raising=False)
+    dim = 64
+    cfg = {
+        "schema_version": 1,
+        "command": "sample",
+        "system": {"dim": dim, "hamiltonian": mat(np.zeros((dim, dim)))},
+        "devices": [{"name": "N", "observable": mat(np.diag(np.arange(dim)))}],
+        "schedule": {"entries": [{"time": 1.0, "device": "N"}, {"time": 2.0, "device": "N"}]},
+        "params": {"n_samples": 20, "seed": 1},
+    }
+    code, report, out = run(tmp_path, "sample", cfg)
+    assert code == 0
+    results = report["results"]
+    assert results["coverage_skipped"] == (
+        f"enumeration size {dim**4} exceeds the guard 10000000; "
+        "raise BITRAJ_MAX_TABLE if this is intended"
+    )
+    assert "fraction_within_4sigma" not in results
+    assert report["checks"] == []
+    run_blob = json.loads((out / "run.json").read_text())
+    assert sum(c["count"] for c in run_blob["counts"]) == 20
+
+
+def _coverage_cell_by_cell(system, schedule, run) -> tuple[float, float]:
+    """The sample verb's coverage, one cell at a time: the fraction within 4 sigma
+    and the largest frequency of a zero-probability cell."""
+    from bitraj.engine import chain_probabilities
+    from bitraj.lab import empirical_distribution
+
+    dist = empirical_distribution(run)
+    probs = chain_probabilities(system, schedule.init, [(t, d.projectors) for t, d in schedule.entries])
+    worst_zero, within, checked = 0.0, 0, 0
+    cells = itertools.product(*(dev.outcomes for dev in schedule.devices))
+    for seq, p in zip(cells, probs.tolist()):
+        p_hat = dist.probabilities.get(seq, 0.0)
+        if p <= 1e-300 and p_hat > 0.0:
+            worst_zero = max(worst_zero, p_hat)
+        sigma = math.sqrt(max(p * (1.0 - p), 0.0) / run.n_samples)
+        if p > 1e-300:
+            checked += 1
+            if abs(p_hat - p) <= 4.0 * max(sigma, 1e-12):
+                within += 1
+    return (within / checked if checked else 1.0), worst_zero
+
+
+QUTRIT_OBS = np.diag([0.0, 1.0, 2.0])
+SAMPLE_CASES = {
+    "zx": PINNED_BASES["sample"],
+    "zz-zero-cell-hit": _mutated(PINNED_BASES["sample"], ("schedule", "entries", 0, "device"), "Z"),
+    "qutrit": {
+        "schema_version": 1,
+        "command": "sample",
+        "system": {"dim": 3, "hamiltonian": mat(np.array([[0, 1, 0.3j], [1, 0.5, 0], [-0.3j, 0, -1]]))},
+        "devices": [{"name": "N", "observable": mat(QUTRIT_OBS)}],
+        "schedule": {"entries": [{"time": 0.3 * (j + 1), "device": "N"} for j in range(3)]},
+        "params": {"n_samples": 40, "seed": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_coverage_matches_the_cell_by_cell_count(tmp_path, monkeypatch, case):
+    from bitraj import lab
+
+    seen = []
+    sampled = lab.sample_sequences
+
+    def recorded(system, schedule, n_samples, seed):
+        run = sampled(system, schedule, n_samples, seed)
+        if case == "zz-zero-cell-hit":  # Z twice on |u>: move 3 counts to the null cell (d, u)
+            counts = dict(run.counts)
+            counts[("u", "u")] -= 3
+            counts[("d", "u")] = 3
+            run = lab.SampleRun(run.schedule_digest, run.seed, run.n_samples, counts)
+        seen.append((system, schedule, run))
+        return run
+
+    monkeypatch.setattr(lab, "sample_sequences", recorded)
+    code, report, _ = run(tmp_path, "sample", SAMPLE_CASES[case])
+    fraction, worst_zero = _coverage_cell_by_cell(*seen[0])
+    assert report["results"]["fraction_within_4sigma"] == fraction
+    (check,) = report["checks"]
+    assert check["name"] == "zero_probability_cells_hit"
+    assert check["value"] == worst_zero
+    assert code == (1 if worst_zero > 0 else 0)
+
+
 QUTRIT_ZENO = dict(
     PINNED_BASES["zeno"],
     system={"dim": 3, "hamiltonian": mat(np.zeros((3, 3)))},
@@ -1517,12 +1686,17 @@ def test_guard_hint_names_force_large_only_where_it_lifts_the_guard(
     monkeypatch.setenv("BITRAJ_MAX_TABLE", "1")
     cfg = PINNED_BASES[UNREAD[verb][0]]
     code, report, _ = run(tmp_path, verb, cfg)
-    assert code == 2
-    assert report is None
-    guard = json.loads(capsys.readouterr().err)
-    assert guard["error"] == "table-size-guard"
-    assert guard["limit"] == 1
-    assert guard["hint"] == "raise BITRAJ_MAX_TABLE"
+    if verb == "sample":  # the coverage check records the guard's refusal and the run goes on
+        assert code == 0
+        skipped = report["results"]["coverage_skipped"]
+        assert skipped.endswith("exceeds the guard 1; raise BITRAJ_MAX_TABLE if this is intended")
+    else:
+        assert code == 2
+        assert report is None
+        guard = json.loads(capsys.readouterr().err)
+        assert guard["error"] == "table-size-guard"
+        assert guard["limit"] == 1
+        assert guard["hint"] == "raise BITRAJ_MAX_TABLE"
     monkeypatch.delenv("BITRAJ_MAX_TABLE")
     assert run(tmp_path, verb, cfg)[0] == 0
 

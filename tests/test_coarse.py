@@ -258,6 +258,41 @@ def test_coarse_schedule_rejects_decreasing_times():
         CoarseSchedule(entries=((2.0, DEVZ, None), (1.0, DEVX, None)), init=UP_STATE)
 
 
+def _plain(entries, init):
+    """The ``Schedule`` of (time, device, resolution) entries, each resolution folded in."""
+    return Schedule(
+        tuple((t, dev if res is None else coarse_device(dev, res)) for t, dev, res in entries),
+        init,
+    )
+
+
+@pytest.mark.parametrize("build", [CoarseSchedule, _plain], ids=["coarse", "plain"])
+@pytest.mark.parametrize(
+    "entries, t0, message",
+    [
+        (((2.0, DEVZ, None), (1.0, DEVX, None)), 0.0, "non-decreasing"),
+        (((0.5, DEVZ, None), (1.0, DEVX, None)), 1.0, "not before t0=1.0"),
+        (((1.0, DEVZ, None), (2.0, fine_basis_device(3, 7), None)), 0.0, "dim 3 != state dim 2"),
+        (((1.0, DEVZ, Resolution.full(DEVX)),), 0.0, "built for a different device"),
+    ],
+    ids=["decreasing", "before-t0", "dimension", "foreign-resolution"],
+)
+def test_both_schedule_types_reject_alike(build, entries, t0, message):
+    with pytest.raises(ValueError, match=message):
+        build(entries, State(UP, time_tag=t0))
+
+
+def test_a_coarse_schedule_reads_as_its_folded_schedule():
+    res = Resolution.full(DEVX)
+    entries = ((1.0, DEVX, res), (1.0, DEVZ, None))
+    cs = CoarseSchedule(entries, UP_STATE)
+    plain = _plain(entries, UP_STATE)
+    assert cs.entries == entries
+    assert (cs.times, len(cs), cs.init) == (plain.times, len(plain), plain.init)
+    assert [d.name for d in cs.devices] == ["X|any", "Z"]
+    assert cs.digest == plain.digest and cs.digest_payload() == plain.digest_payload()
+
+
 def test_quantum_equals_faux_for_fine_outcomes():
     # with no merging the two notions coincide
     system, sched = random_schedule(99, 3, 2)

@@ -55,6 +55,27 @@ QUBIT_FREE = SystemSpec(dim=2, hamiltonian=H0)
 UP_STATE = State(UP, time_tag=0.0)
 
 
+#: each ``property_report`` witness with the CLI tolerance key and comparator that bound it
+CLI_BOUNDS = {
+    "normalization_error": ("normalization", "<="),
+    "max_biconsistency_error": ("biconsistency", "<="),
+    "max_causality_violation": ("causality", "<="),
+    "max_hermitianity_error": ("hermitianity", "<="),
+    "min_gram_eigenvalue": ("gram_min", ">="),
+    "max_diagonal_negativity": ("diagonal_negativity", "<="),
+}
+
+
+def cli_check_failures(table) -> list[dict]:
+    """The witnesses of ``table``'s report that fail the CLI's default bounds."""
+    got = property_report(table).as_dict()
+    checks = [
+        _check(key, got[witness], DEFAULT_TOLERANCES[key], comparator)
+        for witness, (key, comparator) in CLI_BOUNDS.items()
+    ]
+    return [c for c in checks if not c["pass"]]
+
+
 def random_config(seed, dim=None, n=None):
     rng = np.random.default_rng(seed)
     if dim is None:
@@ -189,9 +210,22 @@ def test_schedule_rejects_nonincreasing_times():
         Schedule(entries=((2.0, DEVZ), (1.0, DEVX)), init=UP_STATE)
 
 
-def test_schedule_rejects_equal_times():
-    with pytest.raises(ValueError):
-        Schedule(entries=((1.0, DEVZ), (1.0, DEVX)), init=UP_STATE)
+@pytest.mark.parametrize(
+    "times, t0",
+    [((1.0, 1.0, 2.0), 0.0), ((0.5, 1.3, 1.3), 0.5), ((-1.0, -1.0, -1.0), -1.0)],
+    ids=["equal-times", "first-at-t0-and-equal-last", "all-at-t0"],
+)
+def test_equal_times_and_a_first_entry_at_t0_pass_every_witness(times, t0):
+    # equal times are back-to-back readouts with no propagation in between
+    system = SystemSpec(dim=2, hamiltonian=0.7 * SX + 0.2 * SZ)
+    init = State(np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]]), time_tag=t0)
+    sched = Schedule(entries=tuple(zip(times, (DEVZ, DEVX, DEVY))), init=init)
+    assert cli_check_failures(biprob_table(system, sched)) == []
+
+
+def test_schedule_rejects_a_time_before_t0():
+    with pytest.raises(ValueError, match="not before t0=1.0; got 0.5 after 1.0"):
+        Schedule(entries=((0.5, DEVZ),), init=State(UP, time_tag=1.0))
 
 
 def test_schedule_rejects_empty():
@@ -632,20 +666,7 @@ def test_degenerate_observables_pass_the_cli_bounds(case):
     system, sched, n_levels = case
     # each eigenspace is one outcome, near-repeats included
     assert [dev.n_outcomes for dev in sched.devices] == n_levels
-    got = property_report(biprob_table(system, sched)).as_dict()
-    bounds = {
-        "normalization_error": ("normalization", "<="),
-        "max_biconsistency_error": ("biconsistency", "<="),
-        "max_causality_violation": ("causality", "<="),
-        "max_hermitianity_error": ("hermitianity", "<="),
-        "min_gram_eigenvalue": ("gram_min", ">="),
-        "max_diagonal_negativity": ("diagonal_negativity", "<="),
-    }
-    checks = [
-        _check(key, got[witness], DEFAULT_TOLERANCES[key], comparator)
-        for witness, (key, comparator) in bounds.items()
-    ]
-    assert [c for c in checks if not c["pass"]] == []
+    assert cli_check_failures(biprob_table(system, sched)) == []
 
 
 @settings(max_examples=30)

@@ -85,6 +85,33 @@ def test_an_unknown_name_raises_attribute_error():
     assert "biprob_table" in dir(bitraj)
 
 
+#: the ``bitraj`` modules a fresh ``import bitraj.<name>`` loads, the package and itself included
+MODULE_GRAPH = {
+    "serialize": {"serialize"},
+    "core": {"core"},
+    "cli": {"cli"},
+    "engine": {"core", "engine", "serialize"},
+    "coarse": {"coarse", "core", "engine", "serialize"},
+    "composite": {"composite", "core", "engine", "serialize"},
+    "phenomena": {"core", "engine", "phenomena", "serialize"},
+    "master": {"composite", "core", "engine", "master", "serialize"},
+    "lab": {"coarse", "core", "engine", "lab", "phenomena", "serialize"},
+    "_verbs": {"_verbs", "cli", "coarse", "core", "engine", "serialize"},
+}
+
+
+def test_module_graph_covers_every_module():
+    assert set(MODULE_GRAPH) == set(SUBMODULES) | {"cli", "_verbs"}
+    assert "coarse" not in MODULE_GRAPH["phenomena"]
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_GRAPH))
+def test_a_module_loads_exactly_its_pinned_modules(name):
+    loaded = fresh_stdout(f"import sys, bitraj.{name}; print(sorted(sys.modules))")
+    got = {m.split(".", 1)[1] for m in ast.literal_eval(loaded) if m.startswith("bitraj.")}
+    assert got == MODULE_GRAPH[name]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
