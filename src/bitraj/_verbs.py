@@ -85,20 +85,10 @@ def _build_devices(cfg: dict, where: str = "") -> tuple[SystemSpec, dict[str, De
         name = obj["name"]
         if name in devices:
             raise CliError(f"config error at {ptr}/name: duplicate device {name!r}")
-        has_obs = "observable" in obj
-        if has_obs == ("projectors" in obj) or (has_obs and "outcomes" in obj):
-            raise CliError(
-                f"config error at {ptr}: give exactly one of 'observable' or "
-                f"'outcomes'+'projectors'"
-            )
-        with _config_error(ptr):
-            if has_obs:
+        with _config_error(ptr):  # the shape walk let through one form, whole
+            if "observable" in obj:
                 dev = device_from_hermitian(_matrix(obj["observable"], ptr + "/observable"), name=name)
             else:
-                if "outcomes" not in obj:
-                    raise CliError(
-                        f"config error at {ptr}: 'projectors' requires 'outcomes'"
-                    )
                 outcomes = tuple(label_from_json(o) for o in obj["outcomes"])
                 projs = tuple(
                     _matrix(p, f"{ptr}/projectors/{j}")
@@ -135,13 +125,7 @@ def _build_init(
     if obj is None:
         obj = {"maximally_mixed": True}
     time = float(obj.get("time", default_time))
-    forms = [k for k in ("density", "weights", "maximally_mixed") if k in obj]
-    if len(forms) != 1:
-        raise CliError(
-            f"config error at {where}: give exactly one of 'density', "
-            f"'weights' or 'maximally_mixed'"
-        )
-    with _config_error(where):
+    with _config_error(where):  # the shape walk let through one form
         if "density" in obj:
             return State(_matrix(obj["density"], where + "/density"), time_tag=time)
         if "weights" in obj:
@@ -164,9 +148,7 @@ def _build_experiment(obj: dict, where: str = "") -> tuple[SystemSpec, CoarseSch
     entries = []
     for i, e in enumerate(items):
         ptr = f"{where}/entries/{i}"
-        dev = devices.get(e["device"])
-        if dev is None:
-            raise CliError(f"config error at {ptr}/device: unknown device {e['device']!r}")
+        dev = _device(devices, e["device"], ptr + "/device")
         res = None
         if "resolution" in e:
             res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
@@ -187,12 +169,7 @@ def _build_init_spec(
 
     entries = []
     for j, w in enumerate(obj["weights"]):
-        dev = devices.get(w["device"])
-        if dev is None:
-            raise CliError(
-                f"config error at {where}/weights/{j}/device: unknown device "
-                f"{w['device']!r}"
-            )
+        dev = _device(devices, w["device"], f"{where}/weights/{j}/device")
         outcome = _outcome(dev, w["outcome"], f"{where}/weights/{j}/outcome")
         entries.append((dev, outcome, float(w["weight"])))
     with _config_error(where):
@@ -225,11 +202,11 @@ def _seed_param(params: dict, runs: int = 1) -> int:
     return seed
 
 
-def _device_param(params: dict, key: str, devices: dict[str, Device]) -> Device:
-    name = params[key]
+def _device(devices: dict[str, Device], name: str, where: str) -> Device:
+    """The device called ``name``, which the config names at ``where``."""
     dev = devices.get(name)
     if dev is None:
-        raise CliError(f"config error at /params/{key}: unknown device {name!r}")
+        raise CliError(f"config error at {where}: unknown device {name!r}")
     return dev
 
 
@@ -413,13 +390,18 @@ def _cmd_markov(ctx: _Context) -> None:
     from .phenomena import markov_delta
 
     system, devices = _build_devices(ctx.cfg)
-    device = _device_param(ctx.params, "device", devices)
+    device = _device(devices, ctx.params["device"], "/params/device")
     times = [float(t) for t in ctx.params["times"]]
-    init = _build_init_spec(ctx.cfg["init"], devices)
+    init = _build_init_spec(ctx.cfg["init"], devices, default_time=min(0.0, times[0]))
     _check_time(system, init.time, "/init/time")
     for i, t in enumerate(times):
         if i and t < times[i - 1]:
             raise CliError(f"config error at /params/times/{i}: times must be non-decreasing")
+        if t < init.time:
+            raise CliError(
+                f"config error at /params/times/{i}: time {t!r} is before the init time "
+                f"{init.time!r}"
+            )
         _check_time(system, t, f"/params/times/{i}")
     rep = markov_delta(system, device, times, init)
     ctx.results.update(
@@ -438,11 +420,9 @@ def _cmd_zeno(ctx: _Context) -> None:
     from .phenomena import _rate_scale, zeno_scan
 
     system, devices = _build_devices(ctx.cfg)
-    device = _device_param(ctx.params, "device", devices)
+    device = _device(devices, ctx.params["device"], "/params/device")
     outcome = _outcome(device, ctx.params["outcome"], "/params/outcome")
     total = float(ctx.params["T"])
-    if total < 0:
-        raise CliError(f"config error at /params/T: the scan time {total!r} is negative")
     _check_time(system, total, "/params/T")
     with _config_error("/system/hamiltonian"):  # a norm too large for the rate's self-checks
         _rate_scale(system)
@@ -463,8 +443,8 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     from .phenomena import uncertainty_csv, uncertainty_matrix
 
     system, devices = _build_devices(ctx.cfg)
-    dev_k = _device_param(ctx.params, "device_k", devices)
-    dev_l = _device_param(ctx.params, "device_l", devices)
+    dev_k = _device(devices, ctx.params["device_k"], "/params/device_k")
+    dev_l = _device(devices, ctx.params["device_l"], "/params/device_l")
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
     _check_time(system, t, "/params/t")
@@ -490,7 +470,6 @@ def _cmd_uncertainty(ctx: _Context) -> None:
 
 
 def _cmd_map_compare(ctx: _Context) -> None:
-    from .composite import CompositeSpec, compose
     from .master import OpenSpec, dynamical_map_bitraj, dynamical_map_exact
 
     system = _build_system(ctx.cfg["system"], "/system")
@@ -516,9 +495,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
     slices = sorted(ctx.params["slices"])
 
     with _config_error("/environment"):  # the joint dimension is over the cap
-        joint = compose(CompositeSpec(system, environment, couplings))
-        _system_eig(joint)
-    _check_time(joint, t, "/params/t")
+        _system_eig(spec.joint)
+    _check_time(spec.joint, t, "/params/t")
     with _config_error("/environment"):  # a map that fails its trace-preservation check
         exact = dynamical_map_exact(spec, t)
     rows = []

@@ -2,9 +2,9 @@
 
 One JSON config file describes the system, the measuring devices, the
 schedule and the command to run; the runner validates it strictly against
-the keys that command reads (any other key, and a key given without the
-partner it is read with, is rejected, bad entries are reported with
-JSON-pointer locations),
+the keys that command reads (any other key, a device or init that does not
+give exactly one of its forms, and a key given without the partner it is read
+with, is rejected, bad entries are reported with JSON-pointer locations),
 executes the requested computation, and writes a machine-readable
 ``report.json`` plus per-command CSV artifacts into the output directory.
 This module parses the arguments, reads the config, checks its shape and
@@ -74,6 +74,8 @@ def _config_error(where: str) -> Iterator[None]:
 # A shape is a leaf name from ``_LEAVES``; ``[item, min_len, max_len]`` for an
 # array (``max_len`` None: unbounded); or a dict of key -> shape for an object,
 # where a key ending in ``?`` is optional and any key not listed is rejected.
+# An object's ``"|"`` entry lists its forms, groups of its optional keys: the
+# object gives exactly one group, whole, and no key of another.
 _LABEL = "a label (string, number or boolean)"
 
 
@@ -107,6 +109,7 @@ _DEVICE = {
     "observable?": _MATRIX,
     "outcomes?": _LABELS,
     "projectors?": [_MATRIX, 1, None],
+    "|": (("observable",), ("outcomes", "projectors")),
 }
 _DEVICES = [_DEVICE, 1, None]
 _RESOLUTION = {"blocks": [_LABELS, 1, None], "labels?": [_LABEL, 0, None]}
@@ -119,6 +122,7 @@ _INIT = {
     "maximally_mixed?": "true",
     "weights?": _WEIGHTS,
     "time?": "a number",
+    "|": (("density",), ("weights",), ("maximally_mixed",)),
 }
 _FACTOR = {"system": _SYSTEM, "devices": _DEVICES, "schedule": _SCHEDULE, "init?": _INIT}
 _BI = {"plus": _LABELS, "minus": _LABELS}
@@ -180,7 +184,7 @@ _VERB_KEYS = {
         {
             "device": "a string",
             "outcome": _LABEL,
-            "T": "a number",
+            "T": "a number >= 0",
             "n_list": ["an integer >= 1", 1, None],
         },
         {},
@@ -273,12 +277,17 @@ def _shaped(value: Any, shape: Any, ptr: str, errors: list[str]) -> Any:
         errors.append(f"{at}: expected an object, got {value!r}")
         return value
     out = dict(value)  # keeps the config's key order
-    fields = {key.rstrip("?"): (key.endswith("?"), sub) for key, sub in shape.items()}
+    fields = {key.rstrip("?"): (key.endswith("?"), sub) for key, sub in shape.items() if key != "|"}
     for key, (optional, sub) in fields.items():
         if key in value:
             out[key] = _shaped(value[key], sub, f"{ptr}/{key}", errors)
         elif not optional:
             errors.append(f"{at}: missing required key {key!r}")
+    forms = shape.get("|", ())
+    given = [form for form in forms if any(key in value for key in form)]
+    if forms and (len(given) != 1 or not all(key in value for key in given[0])):
+        names = ["+".join(map(repr, form)) for form in forms]
+        errors.append(f"{at}: give exactly one of {', '.join(names[:-1])} or {names[-1]}")
     for key in value:
         if key not in fields:
             errors.append(f"{at}: unknown key {key!r}")

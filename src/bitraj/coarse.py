@@ -204,24 +204,19 @@ def interference_term(
     out as a single two-member block.  ``outcomes`` fixes the readout at every
     other entry; its value at ``position`` is ignored.
     """
-    n = len(schedule)
-    if not 0 <= position < n:
-        raise IndexError(f"position {position} out of range")
+    if len(outcomes) != len(schedule):
+        raise ValueError("outcomes must cover every entry (value at `position` is ignored)")
+    bi = BiSequence.pair_at(outcomes, position, pair)
     f_plus, f_minus = pair
     if f_plus == f_minus:
         raise ValueError("interference needs two distinct alternatives")
     dev = schedule.devices[position]
     dev.outcome_index(f_plus)
     dev.outcome_index(f_minus)
-    if len(outcomes) != n:
-        raise ValueError("outcomes must cover every entry (value at `position` is ignored)")
 
-    plus = tuple(outcomes[:position]) + (f_plus,) + tuple(outcomes[position + 1:])
-    minus = tuple(outcomes[:position]) + (f_minus,) + tuple(outcomes[position + 1:])
-    q = biprob(system, schedule, BiSequence(plus, minus))
-    route_a = float(q.real)
+    route_a = float(biprob(system, schedule, bi).real)
 
-    steps = [(t, [d.projector_for(f)]) for (t, d), f in zip(schedule.entries, plus)]
+    steps = [(t, [d.projector_for(f)]) for (t, d), f in zip(schedule.entries, bi.plus)]
     proj_plus, proj_minus = dev.projector_for(f_plus), dev.projector_for(f_minus)
     steps[position] = (schedule.times[position], [proj_plus + proj_minus, proj_plus, proj_minus])
     p_or, p_plus, p_minus = chain_probabilities(system, schedule.init, steps).tolist()

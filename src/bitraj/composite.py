@@ -202,18 +202,11 @@ def identical_relations_check(
     the mixed configuration to the two same-pair ones.  All values come from
     direct joint-system evaluations.
     """
-    n = len(schedule)
-    if len(outcomes) != n:
+    if len(outcomes) != len(schedule):
         raise ValueError("outcomes must cover every entry (value at `position` is ignored)")
-
-    def pair_bi(pair: tuple[Label, Label]) -> BiSequence:
-        plus = tuple(outcomes[:position]) + (pair[0],) + tuple(outcomes[position + 1:])
-        minus = tuple(outcomes[:position]) + (pair[1],) + tuple(outcomes[position + 1:])
-        return BiSequence(plus, minus)
-
-    bi_a = pair_bi(pair_a)
-    bi_b = pair_bi(pair_b)
-    bi_a_swapped = pair_bi((pair_a[1], pair_a[0]))
+    bi_a = BiSequence.pair_at(outcomes, position, pair_a)
+    bi_b = BiSequence.pair_at(outcomes, position, pair_b)
+    bi_a_swapped = BiSequence(bi_a.minus, bi_a.plus)
 
     phi_ab = co_interference(spec, spec, schedule, schedule, bi_a, bi_b)
     phi_aa = co_interference(spec, spec, schedule, schedule, bi_a, bi_a)

@@ -331,6 +331,21 @@ def heisenberg_projectors(system: SystemSpec, device: Device, t: float) -> tuple
     return _heisenberg(system, device.projectors, t)
 
 
+def _projector_columns(device: Device) -> tuple[np.ndarray, list[int]]:
+    """Orthonormal columns spanning each projector, with the index of the outcome each
+    belongs to; ``ValueError`` unless they span the space."""
+    cols: list[np.ndarray] = []
+    owners: list[int] = []
+    for oi, p in enumerate(device.projectors):
+        w, v = np.linalg.eigh(p)
+        for ci in np.nonzero(w > 0.5)[0]:
+            cols.append(v[:, ci])
+            owners.append(oi)
+    if len(cols) != device.dim:
+        raise ValueError(f"projectors of {device.name!r} do not span the space")
+    return np.column_stack(cols), owners
+
+
 def _fine_basis_columns(device: Device) -> np.ndarray:
     """Orthonormal column per outcome of a fine-grained device.
 
@@ -342,14 +357,11 @@ def _fine_basis_columns(device: Device) -> np.ndarray:
         raise ValueError(f"device {device.name!r} is not perfectly fine-grained")
     if device.basis is not None:
         return np.array(device.basis, copy=True)
-    cols = []
-    for p in device.projectors:
-        w, v = np.linalg.eigh(p)
-        u = v[:, -1]
+    cols, _ = _projector_columns(device)
+    for u in cols.T:  # each a view of one column, rephased in place
         k = int(np.argmax(np.abs(u)))
-        phase = u[k] / abs(u[k])
-        cols.append(u / phase)
-    return np.column_stack(cols)
+        u /= u[k] / abs(u[k])
+    return cols
 
 
 def mub_partner(device: Device) -> Device:

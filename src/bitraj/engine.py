@@ -103,6 +103,17 @@ class BiSequence:
         seq = tuple(outcomes)
         return cls(seq, seq)
 
+    @classmethod
+    def pair_at(
+        cls, outcomes: Sequence[Label], position: int, pair: tuple[Label, Label]
+    ) -> "BiSequence":
+        """``outcomes`` on both branches but at ``position``, where the plus branch reads
+        ``pair[0]`` and the minus branch ``pair[1]``; ``IndexError`` off ``outcomes``."""
+        if not 0 <= position < len(outcomes):
+            raise IndexError(f"position {position} out of range")
+        head, tail = tuple(outcomes[:position]), tuple(outcomes[position + 1:])
+        return cls(head + (pair[0],) + tail, head + (pair[1],) + tail)
+
     @property
     def is_diagonal(self) -> bool:
         return self.plus == self.minus

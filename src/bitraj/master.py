@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -22,13 +23,13 @@ import numpy as np
 from .composite import CompositeSpec, Coupling, compose
 from .core import (
     ConsistencyError,
-    Device,
     State,
     SystemSpec,
     _check_hermitian,
     _eigen_groups,
     _expm_herm,
     _heisenberg,
+    _projector_columns,
     device_from_hermitian,
     _within,
     propagator,
@@ -150,7 +151,7 @@ def system_biprob(
             raise ValueError(
                 f"coordinate basis dim {c.dim} does not match system dim {system.dim}"
             )
-        if t_prev is not None and c.time < t_prev - 1e-15:
+        if t_prev is not None and c.time < t_prev:
             raise ValueError("coordinates must be chronological")
         t_prev = c.time
 
@@ -171,20 +172,6 @@ def system_biprob(
     return val
 
 
-def _device_fine_split(device: Device) -> tuple[np.ndarray, list[int]]:
-    """Orthonormal columns spanning each projector, with their outcome index."""
-    cols: list[np.ndarray] = []
-    owners: list[int] = []
-    for oi, p in enumerate(device.projectors):
-        w, v = np.linalg.eigh(p)
-        for ci in np.nonzero(w > 0.5)[0]:
-            cols.append(v[:, ci])
-            owners.append(oi)
-    if len(cols) != device.dim:
-        raise ValueError(f"projectors of {device.name!r} do not span the space")
-    return np.column_stack(cols), owners
-
-
 def observable_restriction_delta(system: SystemSpec, schedule: Schedule) -> float:
     """Gap between a schedule's table and its decomposition over basis indices.
 
@@ -203,12 +190,12 @@ def observable_restriction_delta(system: SystemSpec, schedule: Schedule) -> floa
     w0 = np.clip(w0, 0.0, None)
     # The initial slot sits at the propagation origin: the chain treats the
     # state as given there, so the slot's frame absorbs any anchor offset.
-    t_anchor = min(0.0, schedule.times[0]) if schedule.entries else 0.0
+    t_anchor = min(0.0, schedule.times[0])
     anchor_frame = (propagator(system, t_anchor) @ r0).conj().T
     coords = [CoordTau(time=t_anchor, basis=anchor_frame)]
     owners_per_entry: list[list[int]] = []
     for t, dev in schedule.entries:
-        basis, owners = _device_fine_split(dev)
+        basis, owners = _projector_columns(dev)
         coords.append(CoordTau(time=t, basis=basis.conj().T))
         owners_per_entry.append(owners)
 
@@ -241,9 +228,9 @@ class OpenSpec:
     """An observed system in contact with a finite environment.
 
     ``couplings`` holds product interaction terms (operator on the observed
-    side, observable on the environment side, optional strength); the joint
-    generator, built by ``compose``, is H0 x 1 + 1 x H_env + sum of the
-    coupling products.
+    side, observable on the environment side, optional strength); ``joint``,
+    the joint system that ``compose`` builds once per spec, has the generator
+    H0 x 1 + 1 x H_env + sum of the coupling products.
     """
 
     system: SystemSpec
@@ -261,8 +248,10 @@ class OpenSpec:
         if self.env_state.dim != self.environment.dim:
             raise ValueError("environment state dimension mismatch")
 
-    def joint_hamiltonian(self) -> np.ndarray:
-        return compose(CompositeSpec(self.system, self.environment, self.couplings)).hamiltonian
+    @cached_property
+    def joint(self) -> SystemSpec:
+        """The observed system and its environment as one system, composed once."""
+        return compose(CompositeSpec(self.system, self.environment, self.couplings))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +313,7 @@ def dynamical_map_exact(spec: OpenSpec, t: float) -> Superoperator:
     dimension must fit ``BITRAJ_MAX_DIM``, which only that variable raises.
     """
     d_o, d_e = spec.system.dim, spec.environment.dim
-    u = _expm_herm(*np.linalg.eigh(spec.joint_hamiltonian()), float(t))
+    u = propagator(spec.joint, t)
     rho_e = spec.env_state.density
     m = np.zeros((d_o * d_o, d_o * d_o), dtype=complex)
     for l in range(d_o):

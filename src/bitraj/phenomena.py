@@ -151,6 +151,8 @@ def markov_delta(
     n = len(ts)
     if n < 2:
         raise ValueError("need at least two measurement times")
+    if ts[0] < init.time:
+        raise ValueError(f"time {ts[0]!r} is before the init time {init.time!r}")
     state = init_metric(init, system)
     r = device.n_outcomes
 

@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitraj.cli import _CONFIG_SHAPES, _LABEL, _VERB_KEYS, DEFAULT_TOLERANCES, VERBS, main
+from bitraj.cli import (
+    _CONFIG_SHAPES,
+    _LABEL,
+    _VERB_KEYS,
+    DEFAULT_TOLERANCES,
+    VERBS,
+    CliError,
+    _validate_schema,
+    main,
+)
 from bitraj.serialize import canonical_digest
 from conftest import fresh_run, fresh_stdout
 
@@ -438,14 +447,21 @@ def _main_in_a_fresh_interpreter(argv: list[str], before: str = "") -> dict:
 
 
 def test_help_and_a_rejected_config_never_load_numpy(tmp_path):
-    nan = dict(_readme_config(), tolerances={"normalization": float("nan")})
-    lone_pair = _mutated(PINNED_BASES["coarse"], ("params", "position"), DELETE)
+    rejected = {
+        "nan": dict(_readme_config(), tolerances={"normalization": float("nan")}),
+        "pair": _mutated(PINNED_BASES["coarse"], ("params", "position"), DELETE),
+        # a device and an init that give two forms, and a negative scan time
+        "device": _mutated(ZX_BASE, DEV0 + ("observable",), mat(SZ)),
+        "init": _mutated(ZX_BASE, ("init", "maximally_mixed"), True),
+        "zeno": _mutated(PINNED_BASES["zeno"], ("params", "T"), -1),
+    }
     out = ["--out", str(tmp_path / "out")]
-    nan_argv = ["verify", "--config", write_config(tmp_path, nan, "nan.json"), *out]
-    pair_argv = ["coarse", "--config", write_config(tmp_path, lone_pair, "pair.json"), *out]
-    for args, code in [(nan_argv, 2), (pair_argv, 2), (["--help"], 0)]:
+    for name, cfg in rejected.items():
+        args = [cfg["command"], "--config", write_config(tmp_path, cfg, f"{name}.json"), *out]
         ran = _main_in_a_fresh_interpreter(args)
-        assert (ran["code"], ran["numpy"]) == (code, False)
+        assert (ran["code"], ran["numpy"]) == (2, False), name
+    ran = _main_in_a_fresh_interpreter(["--help"])
+    assert (ran["code"], ran["numpy"]) == (0, False)
     assert not (tmp_path / "out").exists()
 
 
@@ -1082,7 +1098,8 @@ def _integer_leaves(shape, path=()):
         yield from _integer_leaves(shape[0], path + (0,))
     else:
         for key, sub in shape.items():
-            yield from _integer_leaves(sub, path + (key.rstrip("?"),))
+            if key != "|":  # an object's forms: groups of its keys, not a shape
+                yield from _integer_leaves(sub, path + (key.rstrip("?"),))
 
 
 def test_every_integer_leaf_has_a_base():
@@ -1212,6 +1229,9 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
             "/schedule/entries/0/resolution",
         ),
         ("markov", ("params", "times"), [1.1, 0.5], "/params/times/1"),
+        # the first time is 0.5
+        ("markov", ("init", "time"), float(np.nextafter(0.5, 1.0)), "/params/times/0"),
+        ("markov", ("init", "time"), 5.0, "/params/times/0"),
         ("zeno", ("params", "T"), -1, "/params/T"),
         ("coarse", ("params", "position"), 2, "/params/position"),
         # every entry is finite, but the largest eigenvalue, 2e308, is not
@@ -1247,6 +1267,8 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         "outcomes-vs-projectors",
         "labels-vs-blocks",
         "markov-times-out-of-order",
+        "markov-time-1-ulp-before-the-init-time",
+        "markov-times-before-the-init-time",
         "zeno-negative-T",
         "position-past-the-schedule",
         "hamiltonian-spectrum-overflows",
@@ -1280,6 +1302,57 @@ def test_the_edges_of_those_meaning_errors_still_run(tmp_path, base, path, value
     cfg = _mutated(PINNED_BASES[base], path, value)
     code, _, _ = run(tmp_path, cfg["command"], cfg)
     assert code == 0
+
+
+DEVICE_FORMS = "'observable' or 'outcomes'+'projectors'"
+INIT_FORMS = "'density', 'weights' or 'maximally_mixed'"
+
+
+@pytest.mark.parametrize(
+    "base, path, value, pointer, forms",
+    [
+        ("zx", DEV0 + ("outcomes",), DELETE, "/devices/0", DEVICE_FORMS),
+        ("zx", DEV0 + ("projectors",), DELETE, "/devices/0", DEVICE_FORMS),
+        ("compose", FACTOR_A + DEV0 + ("observable",), mat(SZ), "/composite/a/devices/0", DEVICE_FORMS),
+        ("compose", FACTOR_A + ("init", "maximally_mixed"), True, "/composite/a/init", INIT_FORMS),
+        ("zx", ("init", "density"), DELETE, "/init", INIT_FORMS),
+    ],
+    ids=["no-outcomes", "no-projectors", "factor-device", "factor-init", "init-without-a-form"],
+)
+def test_the_shape_walk_takes_one_whole_form_at_any_depth(base, path, value, pointer, forms):
+    cfg = _mutated(PINNED_BASES[base], path, value)
+    with pytest.raises(CliError) as exc:
+        _validate_schema(cfg, cfg["command"])
+    assert str(exc.value) == f"config error at {pointer}: give exactly one of {forms}"
+
+
+def test_markov_reads_a_first_time_before_zero_from_there(tmp_path):
+    # with no init time the run starts at min(0, first time), as for every verb
+    cfg = _mutated(PINNED_BASES["markov"], ("params", "times"), [-1.0, 0.5])
+    reports = []
+    for name, init_time in (("default", DELETE), ("explicit", -1.0)):
+        (tmp_path / name).mkdir()
+        code, report, _ = run(tmp_path / name, "markov", _mutated(cfg, ("init", "time"), init_time))
+        assert code == 0, name
+        reports.append(report["results"])
+    assert reports[0] == reports[1]
+
+
+def test_map_compare_eigensolves_the_joint_system_once(tmp_path, monkeypatch):
+    # a qutrit environment, so that only the joint system is 6 x 6
+    cfg = _mutated(PINNED_BASES["map"], ("environment",), {"dim": 3, "hamiltonian": mat(np.zeros((3, 3)))})
+    cfg = _mutated(cfg, COUPLING_ENV + ("op_environment",), mat(np.diag([1.0, 0.0, -1.0])))
+    cfg = _mutated(cfg, ("env_init", "density"), mat(np.eye(3) / 3))
+    eigh, sizes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, _, _ = run(tmp_path, "map-compare", cfg)
+    assert code == 0
+    assert sizes.count((6, 6)) == 1
 
 
 # ---------------------------------------------------------------------------

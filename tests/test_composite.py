@@ -162,6 +162,12 @@ def test_identical_relations_xy():
     assert rep.sqrt_identity_error <= 1e-10
 
 
+@pytest.mark.parametrize("position", [len(XY_SCHED), -1])
+def test_identical_relations_refuse_a_position_off_the_schedule(position):
+    with pytest.raises(IndexError, match="out of range"):
+        identical_relations_check(XY_SYSTEM, XY_SCHED, position, ("+", "-"), ("+", "-"), ("+", "-i"))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_identical_relations_random(seed):
     rng = np.random.default_rng(500 + seed)

@@ -124,6 +124,14 @@ def test_system_biprob_rejects_decreasing_times():
         system_biprob(sys2, coords, (0, 0), (0, 0))
 
 
+def test_system_biprob_compares_times_exactly():
+    sys2 = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
+    at = lambda t: CoordTau(t, np.eye(2, dtype=complex))  # noqa: E731
+    with pytest.raises(ValueError, match="chronological"):
+        system_biprob(sys2, [at(1.0), at(np.nextafter(1.0, 0.0))], (0, 0), (0, 0))
+    assert system_biprob(sys2, [at(1.0), at(1.0)], (0, 0), (0, 0)) == 1.0
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_observable_restriction_random(seed):
     rng = np.random.default_rng(777 + seed)
@@ -357,7 +365,7 @@ def test_openspec_joint_hamiltonian():
         + np.kron(np.eye(2), 0.7 * SZ)
         + 0.45 * np.kron(SZ, SX)
     )
-    assert np.abs(spec.joint_hamiltonian() - expected).max() < 1e-14
+    assert np.abs(spec.joint.hamiltonian - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -378,7 +386,7 @@ def test_openspec_joint_hamiltonian_is_the_kron_sum_bit_for_bit(seed):
     expected = np.kron(h_o, np.eye(d_e)) + np.kron(np.eye(d_o), h_e)
     for c in couplings:
         expected = expected + c.strength * np.kron(c.op_a, c.op_b)
-    assert np.array_equal(spec.joint_hamiltonian(), expected)
+    assert np.array_equal(spec.joint.hamiltonian, expected)
 
 
 def _wide_spec():

@@ -131,6 +131,14 @@ def test_markov_needs_two_times():
         markov_delta(system, DEVZ, [1.0], init)
 
 
+def test_markov_refuses_a_time_before_the_init_time():
+    system = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
+    init = InitSpec(entries=((DEVZ, "u", 1.0),), time=1.0)
+    with pytest.raises(ValueError, match="before the init time"):
+        markov_delta(system, DEVZ, [np.nextafter(1.0, 0.0), 2.0], init)
+    assert markov_delta(system, DEVZ, [1.0, 2.0], init).delta <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Zeno
 
