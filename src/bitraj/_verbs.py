@@ -330,7 +330,8 @@ def _cmd_coarse(ctx: _Context) -> None:
             )
         at, raw = mixed.devices[position], ctx.params["pair"]
         pair = tuple(_outcome(at, f, f"/params/pair/{i}") for i, f in enumerate(raw))
-        term = interference_term(system, mixed, position, pair, outcomes)
+        with _config_error("/params/pair/1"):  # a pair that names one label twice
+            term = interference_term(system, mixed, position, pair, outcomes)
         ctx.results["pair_interference"] = {
             "from_biprob": term.from_biprob,
             "from_probabilities": term.from_probabilities,
@@ -342,7 +343,8 @@ def _cmd_coarse(ctx: _Context) -> None:
 
 
 def _cmd_compose(ctx: _Context) -> None:
-    from .composite import CompositeSpec, _check_tandem, co_interference, compose, factorization_delta
+    from .composite import CompositeSpec, _check_tandem, co_interference, compose
+    from .composite import factorization_delta, product_state
 
     comp = ctx.cfg["composite"]
     sys_a, cs_a = _build_experiment(comp["a"], "/composite/a")
@@ -350,6 +352,10 @@ def _cmd_compose(ctx: _Context) -> None:
     sched_a, sched_b = cs_a.schedule, cs_b.schedule
     with _config_error("/composite/b/schedule/entries"):
         _check_tandem(sched_a, sched_b)
+    # the factors start from one product state, so their init times must agree
+    b_time = "time" in comp["b"].get("init", {})
+    with _config_error(f"/composite/{'b' if b_time else 'a'}/init/time"):
+        product_state(cs_a.init, cs_b.init)
     couplings = _couplings(
         comp.get("couplings", []), "op_a", "op_b", "/composite/couplings", (sys_a.dim, sys_b.dim)
     )
@@ -445,6 +451,11 @@ def _cmd_uncertainty(ctx: _Context) -> None:
     system, devices = _build_devices(ctx.cfg)
     dev_k = _device(devices, ctx.params["device_k"], "/params/device_k")
     dev_l = _device(devices, ctx.params["device_l"], "/params/device_l")
+    for key, dev in (("device_k", dev_k), ("device_l", dev_l)):  # one basis column per outcome
+        if not dev.is_fine_grained():
+            raise CliError(
+                f"config error at /params/{key}: device {dev.name!r} is not perfectly fine-grained"
+            )
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
     _check_time(system, t, "/params/t")
@@ -470,7 +481,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
 
 
 def _cmd_map_compare(ctx: _Context) -> None:
-    from .master import OpenSpec, dynamical_map_bitraj, dynamical_map_exact
+    from .master import OpenSpec, _env_blocks, dynamical_map_bitraj, dynamical_map_exact
 
     system = _build_system(ctx.cfg["system"], "/system")
     environment = _build_system(ctx.cfg["environment"], "/environment")
@@ -499,6 +510,8 @@ def _cmd_map_compare(ctx: _Context) -> None:
     _check_time(spec.joint, t, "/params/t")
     with _config_error("/environment"):  # a map that fails its trace-preservation check
         exact = dynamical_map_exact(spec, t)
+    with _config_error("/couplings"):  # environment coupling observables that do not commute
+        _env_blocks(spec)
     rows = []
     maps = [dynamical_map_bitraj(spec, t, n) for n in slices]
     for n, bt in zip(slices, maps):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConsistencyError, Device, Label, State, SystemSpec, _within, tensor_device
+from .core import ConsistencyError, Label, State, SystemSpec, _within, tensor_device
 from .engine import BiSequence, Schedule, biprob, biprob_table
 
 __all__ = [

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -160,22 +160,18 @@ class Device:
     """A projective measuring device at reference time 0.
 
     ``outcomes`` are hashable labels; ``projectors[i]`` belongs to
-    ``outcomes[i]``.  ``basis``, when present, holds one orthonormal column per
-    outcome of a perfectly fine-grained device (used by basis-sensitive
-    constructions; operationally redundant with the projectors).
+    ``outcomes[i]``.  A device is its projectors: no basis vector or phase is
+    stored, since measured statistics see a readout only through them.
     """
 
     name: str
     outcomes: tuple[Label, ...]
     projectors: tuple[np.ndarray, ...]
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         projs = tuple(_frozen_array(_as_complex_matrix(p, "projector")) for p in self.projectors)
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if self.basis is not None:
-            object.__setattr__(self, "basis", _frozen_array(self.basis))
         validate_device(self)
 
     @property
@@ -209,8 +205,8 @@ def validate_device(device: Device) -> None:
     """Check the projector axioms; raise ``ValueError`` describing the first failure.
 
     Verifies Hermiticity, idempotency, pairwise orthogonality and completeness
-    (each entrywise within 1e-10), label uniqueness and (when a basis is
-    attached) that the basis columns reproduce the projectors within 1e-9.
+    (each entrywise within 1e-10) and label uniqueness; it reads nothing but
+    the name, outcomes and projectors.
     """
     tol, name = 1e-10, f"device {device.name!r}"
     labels, projs = device.outcomes, device.projectors
@@ -232,13 +228,6 @@ def validate_device(device: Device) -> None:
             _within(what, np.abs(projs[i] @ projs[j]).max(), tol)
     gap = np.abs(sum(projs) - np.eye(d)).max()
     _within(f"{name}: projectors do not sum to the identity", gap, tol)
-    if device.basis is not None:
-        b = device.basis
-        if b.shape != (d, len(labels)):
-            raise ValueError(f"{name}: basis shape {b.shape} inconsistent")
-        for k, (label, p) in enumerate(zip(labels, projs)):
-            gap = np.abs(np.outer(b[:, k], b[:, k].conj()) - p).max()
-            _within(f"{name}: basis column {k} does not span projector {label!r}", gap, 1e-9)
 
 
 def _eigen_groups(w: np.ndarray, scale: float | None = None) -> list[list[int]]:
@@ -272,8 +261,8 @@ def device_from_hermitian(observable, name: str) -> Device:
     are merged into a single outcome whose projector spans the
     near-degenerate eigenspace; the label is the mean of the merged
     eigenvalues.  Both thresholds scale with the observable, so its overall
-    scale does not decide the grouping.  For a perfectly fine-grained result
-    the eigenbasis is attached.
+    scale does not decide the grouping.  Only the projectors are kept, so the
+    result equals a ``Device`` built from the same outcomes and projectors.
     """
     obs = _as_complex_matrix(observable, "observable")
     _check_hermitian(obs, "observable")
@@ -285,8 +274,7 @@ def device_from_hermitian(observable, name: str) -> Device:
         block = v[:, g]
         outcomes.append(float(np.mean(w[g])))
         projectors.append(block @ block.conj().T)
-    basis = v if all(len(g) == 1 for g in groups) else None
-    return Device(name=name, outcomes=tuple(outcomes), projectors=tuple(projectors), basis=basis)
+    return Device(name=name, outcomes=tuple(outcomes), projectors=tuple(projectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,14 +337,12 @@ def _projector_columns(device: Device) -> tuple[np.ndarray, list[int]]:
 def _fine_basis_columns(device: Device) -> np.ndarray:
     """Orthonormal column per outcome of a fine-grained device.
 
-    Uses the attached basis when present; otherwise extracts the range of each
-    rank-one projector with a deterministic phase convention (largest component
-    made real positive).
+    The one source of fine basis columns: the range of each rank-one
+    projector, with a deterministic phase convention (largest component made
+    real positive), so equal projectors give equal columns.
     """
     if not device.is_fine_grained():
         raise ValueError(f"device {device.name!r} is not perfectly fine-grained")
-    if device.basis is not None:
-        return np.array(device.basis, copy=True)
     cols, _ = _projector_columns(device)
     for u in cols.T:  # each a view of one column, rephased in place
         k = int(np.argmax(np.abs(u)))
@@ -368,9 +354,9 @@ def mub_partner(device: Device) -> Device:
     """Mutually unbiased partner built by the discrete Fourier transform.
 
     The partner's m-th basis vector is ``d^{-1/2} sum_k exp(2 pi i k m / d)``
-    times the k-th vector of ``device``; every overlap between the two bases
-    then has squared modulus 1/d.  Applying the construction twice permutes the
-    original outcomes (the Fourier-squared parity).
+    times the k-th column ``_fine_basis_columns`` takes from ``device``'s
+    projectors; every overlap between the two bases then has squared modulus
+    1/d.  The partner is a function of the projectors alone.
     """
     cols = _fine_basis_columns(device)
     d = cols.shape[1]
@@ -378,12 +364,7 @@ def mub_partner(device: Device) -> Device:
     dft = omega ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
     partner_cols = cols @ dft
     projs = tuple(np.outer(partner_cols[:, m], partner_cols[:, m].conj()) for m in range(d))
-    return Device(
-        name=f"{device.name}~",
-        outcomes=tuple(range(d)),
-        projectors=projs,
-        basis=partner_cols,
-    )
+    return Device(name=f"{device.name}~", outcomes=tuple(range(d)), projectors=projs)
 
 
 def tensor_device(dev_a: Device, dev_b: Device) -> Device:
@@ -392,12 +373,4 @@ def tensor_device(dev_a: Device, dev_b: Device) -> Device:
     projectors = tuple(
         np.kron(pa, pb) for pa in dev_a.projectors for pb in dev_b.projectors
     )
-    basis = None
-    if dev_a.basis is not None and dev_b.basis is not None:
-        basis = np.kron(dev_a.basis, dev_b.basis)
-    return Device(
-        name=f"{dev_a.name}*{dev_b.name}",
-        outcomes=outcomes,
-        projectors=projectors,
-        basis=basis,
-    )
+    return Device(name=f"{dev_a.name}*{dev_b.name}", outcomes=outcomes, projectors=projectors)

@@ -330,12 +330,6 @@ class BiProbTable:
     def diagonal(self) -> np.ndarray:
         return self.matrix.diagonal().real.copy()
 
-    def items(self) -> Iterator[tuple[BiSequence, complex]]:
-        labels = self._sequence_labels()
-        for fp, row in zip(labels, self.matrix):
-            for fm, q in zip(labels, row.tolist()):
-                yield BiSequence(fp, fm), complex(q)
-
     def _sequence_labels(self, fmt: Callable[[Label], object] | None = None) -> list[tuple]:
         """Every sequence's labels in code order, each outcome mapped by ``fmt`` once."""
         per_entry = [

@@ -93,12 +93,11 @@ class SampleRun:
         }
 
     def to_csv(self) -> str:
-        n = self.n_samples
+        dist = empirical_distribution(self)
         rows = []
         for seq, c in sorted(self.counts.items(), key=lambda kv: str(kv[0])):
-            p = c / n
             cell = csv_cell(";".join(str(label_to_json(l)) for l in seq))
-            rows.append((cell, c, p, math.sqrt(p * (1.0 - p) / n)))
+            rows.append((cell, c, dist.probabilities[seq], dist.std_errors[seq]))
         return csv_text("sequence,count,p_hat,sigma", rows)
 
 

@@ -298,10 +298,12 @@ def uncertainty_matrix(
     if dev_k.dim != system.dim or dev_l.dim != system.dim:
         raise ValueError("device dimensions must match the system")
 
+    basis_k, basis_l = _fine_basis_columns(dev_k), _fine_basis_columns(dev_l)
+
     def overlaps(tt: float) -> np.ndarray:
         u = propagator(system, tt)
-        cols_k = u.conj().T @ _fine_basis_columns(dev_k)
-        cols_l = u.conj().T @ _fine_basis_columns(dev_l)
+        cols_k = u.conj().T @ basis_k
+        cols_l = u.conj().T @ basis_l
         m = cols_l.conj().T @ cols_k
         return np.abs(m.T) ** 2
 

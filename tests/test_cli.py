@@ -1255,6 +1255,18 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         # the joint Hamiltonian's eigenvalues are +-1e308: the phase at time 2.0 is not finite
         ("compose", COUPLING_AB + ("strength",), 1e308, "/composite/a/schedule/entries/1/time"),
         ("compose", COUPLING_AB + ("strength",), -1e308, "/composite/a/schedule/entries/1/time"),
+        # factor a starts at the default time 0.0
+        ("compose", ("composite", "b", "init"), {"maximally_mixed": True, "time": 0.5}, "/composite/b/init/time"),
+        ("compose", FACTOR_A + ("init", "time"), 0.5, "/composite/a/init/time"),
+        ("coarse", ("params", "pair"), ["+", "+"], "/params/pair/1"),
+        ("uncertainty", DEV0, {"name": "X", "observable": mat(np.eye(2))}, "/params/device_k"),
+        ("uncertainty", ("devices", 1), {"name": "Z", "observable": mat(np.eye(2))}, "/params/device_l"),
+        (
+            "map",
+            ("couplings",),
+            [{"op_system": mat(SZ), "op_environment": mat(m)} for m in (SX, SZ)],
+            "/couplings",
+        ),
     ],
     ids=[
         "op_environment-shape",
@@ -1284,6 +1296,12 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         "co-interference-with-couplings",
         "compose-coupling-phase-overflows",
         "compose-negative-coupling-phase-overflows",
+        "compose-init-times-differ-at-b",
+        "compose-init-time-only-at-a",
+        "coarse-pair-names-one-label-twice",
+        "uncertainty-coarse-device_k",
+        "uncertainty-coarse-device_l",
+        "map-env-observables-do-not-commute",
     ],
 )
 def test_meaning_errors_carry_a_pointer(tmp_path, capsys, base, path, value, pointer):

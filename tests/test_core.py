@@ -159,6 +159,27 @@ def test_mub_partner_is_unbiased(d):
             assert abs(ov - 1.0 / d) < 1e-12
 
 
+def _rewrapped(dev):
+    """A plain ``Device`` of ``dev``'s name, outcomes and projectors."""
+    return Device(name=dev.name, outcomes=dev.outcomes, projectors=dev.projectors)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_equal_projectors_give_bit_identical_partners(d):
+    # a partner reads a device through its projectors alone: how the device
+    # was built (an eigensolve, a partner, a tensor product) does not enter
+    obs = device_from_hermitian(random_hermitian(d, 70 + d), name="H")
+    devices = [
+        obs,
+        mub_partner(_rewrapped(obs)),
+        tensor_device(obs, device_from_hermitian(random_hermitian(2, 80 + d), name="G")),
+    ]
+    for dev in devices:
+        got, want = mub_partner(dev), mub_partner(_rewrapped(dev))
+        assert got.outcomes == want.outcomes
+        assert [p.tobytes() for p in got.projectors] == [p.tobytes() for p in want.projectors]
+
+
 def test_tensor_device():
     devz = Device(name="Z", outcomes=("u", "d"), projectors=(UP, DN))
     px = 0.5 * (np.eye(2) + SX)

@@ -55,6 +55,14 @@ QUBIT_FREE = SystemSpec(dim=2, hamiltonian=H0)
 UP_STATE = State(UP, time_tag=0.0)
 
 
+def table_entries(table):
+    """Each ``(BiSequence, Q)`` of a table, sequences in code order (last entry fastest)."""
+    seqs = list(itertools.product(*(dev.outcomes for dev in table.schedule.devices)))
+    for fp, row in zip(seqs, table.matrix.tolist()):
+        for fm, q in zip(seqs, row):
+            yield BiSequence(fp, fm), complex(q)
+
+
 #: each ``property_report`` witness with the CLI tolerance key and comparator that bound it
 CLI_BOUNDS = {
     "normalization_error": ("normalization", "<="),
@@ -149,7 +157,7 @@ def test_single_z_readout_on_up():
 def test_biprob_matches_table(seed):
     system, sched = random_config(seed)
     table = biprob_table(system, sched)
-    for bi, val in table.items():
+    for bi, val in table_entries(table):
         direct = biprob(system, sched, bi)
         assert direct == pytest.approx(val, abs=1e-12)
 
@@ -269,7 +277,7 @@ def test_table_json_roundtrip_fields():
     assert len(csv.splitlines()) == 17
     lines = [
         ",".join(map(str, bi.plus + bi.minus)) + f",{q.real:.17g},{q.imag:.17g}"
-        for bi, q in table.items()
+        for bi, q in table_entries(table)
     ]
     assert csv == "\n".join(["plus_0,plus_1,minus_0,minus_1,re,im"] + lines) + "\n"
 
@@ -283,7 +291,7 @@ def test_table_csv_quotes_and_escapes_labels_as_one_entry_at_a_time():
     init = State(np.full((3, 3), 1 / 3), time_tag=0.0)
     table = biprob_table(system, Schedule(entries=((0.5, odd), (1.2, odd)), init=init))
     lines = ["plus_0,plus_1,minus_0,minus_1,re,im"]
-    for bi, q in table.items():
+    for bi, q in table_entries(table):
         cells = ",".join(csv_cell(label) for label in bi.plus + bi.minus)
         lines.append(f"{cells},{q.real:.17g},{q.imag:.17g}")
     assert table.to_csv() == "\n".join(lines) + "\n"

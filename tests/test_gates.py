@@ -49,10 +49,10 @@ def _nan_products(*projs, square):
     return tuple(out)
 
 
-def _device(projectors, basis=None):
+def _device(projectors):
     """A device as ``validate_device`` reads one (outcomes 0, 1, ...), left unvalidated."""
     outcomes = tuple(range(len(projectors)))
-    return SimpleNamespace(name="n", outcomes=outcomes, projectors=projectors, basis=basis)
+    return SimpleNamespace(name="n", outcomes=outcomes, projectors=projectors)
 
 
 def _numpy(linalg=None, **functions):
@@ -89,8 +89,6 @@ CASES = [
     ("core-projectors-complete", ValueError, "projectors do not sum to the identity",
      [(core, "np", _numpy(eye=lambda d: np.full((d, d), NAN)))],
      lambda: core.validate_device(_device((UP, DN)))),
-    ("core-basis-spans", ValueError, "basis column 0 does not span", [],
-     lambda: core.validate_device(_device((UP, DN), basis=np.full((2, 2), NAN)))),
     ("core-state-trace", ValueError, "density matrix trace", [(core, "np", NAN_TRACE)],
      lambda: State(UP)),
     ("core-state-negative", ValueError, "negative eigenvalue",

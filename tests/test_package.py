@@ -128,3 +128,32 @@ def test_every_source_file_parses_as_python_3_10(path):
     # passes, and ``feature_version`` is best effort, so the 3.10 job itself is
     # still what decides.
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """``<module>.<name>`` for each name a top-level import binds that the module
+    neither reads nor lists in a literal ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names if a.name != "*"]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                exported = set(ast.literal_eval(node.value))
+            except ValueError:  # a computed ``__all__`` exports no import by name
+                pass
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [f"{path.stem}.{name}" for name in bound if name not in read | exported]
+
+
+def test_every_top_level_import_is_read_or_exported():
+    # a cut that deletes a name's last use leaves its import behind unless this fails
+    modules = sorted((ROOT / "src" / "bitraj").glob("*.py"))
+    assert [name for path in modules for name in _unread_imports(path)] == []

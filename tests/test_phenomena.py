@@ -255,6 +255,20 @@ def test_uncertainty_mub_is_flat(d):
     assert np.abs(c - 1.0 / d).max() <= 1e-10
 
 
+def test_uncertainty_takes_each_device_basis_once(monkeypatch):
+    calls = []
+
+    def spy(device):
+        calls.append(device.name)
+        return fine_basis_columns(device)
+
+    fine_basis_columns = phenomena._fine_basis_columns
+    monkeypatch.setattr(phenomena, "_fine_basis_columns", spy)
+    system = SystemSpec(dim=2, hamiltonian=0.9 * SX + 0.4 * SZ)
+    uncertainty_matrix(system, DEVZ, DEVX, 0.3)
+    assert calls == ["Z", "X"]
+
+
 def test_uncertainty_time_invariant():
     system = SystemSpec(dim=2, hamiltonian=0.9 * SX + 0.4 * SZ)
     c0 = uncertainty_matrix(system, DEVZ, DEVX, 0.0)
