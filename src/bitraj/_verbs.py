@@ -26,7 +26,7 @@ from .coarse import (
     quantum_coarse_prob,
 )
 from .core import Device, Label, State, SystemSpec, _env_cap, _system_eig, propagator
-from .core import device_from_hermitian
+from .core import _check_times, device_from_hermitian
 from .engine import (
     BiSequence,
     ConsistencyError,
@@ -70,9 +70,12 @@ def _build_system(obj: dict, where: str) -> SystemSpec:
     return system
 
 
-def _check_time(system: SystemSpec, t: float, where: str) -> None:
-    """Reject the time at ``where`` when a phase ``t * w`` of its propagator leaves float range."""
+def _check_time(system: SystemSpec, t: float, after: float | None, where: str) -> None:
+    """Reject the time at ``where`` when it breaks the time rule after ``after`` (the time
+    before it, the init time for a first time, None for a lone time) or a phase ``t * w``
+    of its propagator leaves float range."""
     with _config_error(where):
+        _check_times("schedule", (t,) if after is None else (after, t))
         propagator(system, t)
 
 
@@ -142,18 +145,18 @@ def _build_experiment(obj: dict, where: str = "") -> tuple[SystemSpec, CoarseSch
     """
     system, devices = _build_devices(obj, where)
     items = obj["schedule"]["entries"]
-    t_first = float(items[0]["time"])
-    init = _build_init(obj.get("init"), system, devices, t_first, where + "/init")
+    times = [float(e["time"]) for e in items]
+    init = _build_init(obj.get("init"), system, devices, times[0], where + "/init")
     where += "/schedule"
     entries = []
-    for i, e in enumerate(items):
+    for i, (e, after, t) in enumerate(zip(items, [init.time_tag] + times, times)):
         ptr = f"{where}/entries/{i}"
         dev = _device(devices, e["device"], ptr + "/device")
         res = None
         if "resolution" in e:
             res = _build_resolution(e["resolution"], dev, ptr + "/resolution")
-        _check_time(system, e["time"], ptr + "/time")
-        entries.append((float(e["time"]), dev, res))
+        _check_time(system, t, after, ptr + "/time")
+        entries.append((t, dev, res))
     with _config_error(where):
         return system, CoarseSchedule(entries=tuple(entries), init=init)
 
@@ -364,7 +367,7 @@ def _cmd_compose(ctx: _Context) -> None:
         _system_eig(joint)
     # a strong coupling can push a phase of the joint evolution past float range
     for i, t in enumerate(sched_a.times):
-        _check_time(joint, t, f"/composite/a/schedule/entries/{i}/time")
+        _check_time(joint, t, None, f"/composite/a/schedule/entries/{i}/time")
     delta = factorization_delta(sys_a, sys_b, sched_a, sched_b, couplings=couplings)
     ctx.results["factorization_delta"] = delta
     ctx.results["coupled"] = bool(couplings)
@@ -399,16 +402,9 @@ def _cmd_markov(ctx: _Context) -> None:
     device = _device(devices, ctx.params["device"], "/params/device")
     times = [float(t) for t in ctx.params["times"]]
     init = _build_init_spec(ctx.cfg["init"], devices, default_time=min(0.0, times[0]))
-    _check_time(system, init.time, "/init/time")
-    for i, t in enumerate(times):
-        if i and t < times[i - 1]:
-            raise CliError(f"config error at /params/times/{i}: times must be non-decreasing")
-        if t < init.time:
-            raise CliError(
-                f"config error at /params/times/{i}: time {t!r} is before the init time "
-                f"{init.time!r}"
-            )
-        _check_time(system, t, f"/params/times/{i}")
+    _check_time(system, init.time, None, "/init/time")
+    for i, (after, t) in enumerate(zip([init.time] + times, times)):
+        _check_time(system, t, after, f"/params/times/{i}")
     rep = markov_delta(system, device, times, init)
     ctx.results.update(
         {"delta": rep.delta, "excluded": rep.excluded, "checked": rep.checked}
@@ -429,7 +425,7 @@ def _cmd_zeno(ctx: _Context) -> None:
     device = _device(devices, ctx.params["device"], "/params/device")
     outcome = _outcome(device, ctx.params["outcome"], "/params/outcome")
     total = float(ctx.params["T"])
-    _check_time(system, total, "/params/T")
+    _check_time(system, total, None, "/params/T")
     with _config_error("/system/hamiltonian"):  # a norm too large for the rate's self-checks
         _rate_scale(system)
     with _config_error("/params/outcome"):  # an outcome of rank two or more
@@ -458,7 +454,7 @@ def _cmd_uncertainty(ctx: _Context) -> None:
             )
     seed = _seed_param(ctx.params, runs=2)  # the role-swapped run uses seed + 1
     t = float(ctx.params.get("t", 0.0))
-    _check_time(system, t, "/params/t")
+    _check_time(system, t, None, "/params/t")
     exact = uncertainty_matrix(system, dev_k, dev_l, t)
     row_gap = float(np.abs(exact.sum(axis=0) - 1.0).max())
     col_gap = float(np.abs(exact.sum(axis=1) - 1.0).max())
@@ -507,7 +503,7 @@ def _cmd_map_compare(ctx: _Context) -> None:
 
     with _config_error("/environment"):  # the joint dimension is over the cap
         _system_eig(spec.joint)
-    _check_time(spec.joint, t, "/params/t")
+    _check_time(spec.joint, t, None, "/params/t")
     with _config_error("/environment"):  # a map that fails its trace-preservation check
         exact = dynamical_map_exact(spec, t)
     with _config_error("/couplings"):  # environment coupling observables that do not commute

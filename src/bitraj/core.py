@@ -64,6 +64,20 @@ def _within(what: str, gap, bound, error: type[Exception] = ValueError) -> None:
         raise exc
 
 
+def _check_times(what: str, times: Iterable[float], t0: float = -math.inf) -> None:
+    """The one time rule: ``ValueError`` unless every time is finite and none is before the
+    time before it, the first not before ``t0``; both comparisons are exact.  ``what``
+    names the times in the message, which states ``t0`` only when it is finite."""
+    before = t0
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"{what} time {t} is not finite")
+        if t < before:
+            rule = "" if t0 == -math.inf else f" and not before t0={t0}"
+            raise ValueError(f"{what} times must be non-decreasing{rule}; got {t} after {before}")
+        before = t
+
+
 def _as_complex_matrix(m, what: str) -> np.ndarray:
     """``m`` as a square complex array; ``ValueError`` on any other shape or a non-finite entry."""
     a = np.asarray(m, dtype=complex)

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import core
 from .core import ConsistencyError, Device, Label, State, SystemSpec, _env_cap, _heisenberg
-from .core import _within
+from .core import _check_times, _within
 from .serialize import canonical_digest, csv_cell, label_to_json, matrix_to_json
 
 __all__ = [
@@ -123,9 +123,9 @@ class BiSequence:
 class Schedule:
     """Measurement times with their devices, plus the initial condition.
 
-    Times are finite, non-decreasing and none is before the initial
-    condition's time tag; both comparisons are exact.  Equal times mean
-    back-to-back readouts with no propagation in between.
+    Times follow ``core._check_times`` with the initial condition's time tag as
+    t0: finite, non-decreasing and none before t0, compared exactly.  Equal times
+    mean back-to-back readouts with no propagation in between.
     """
 
     entries: tuple[tuple[float, Device], ...]
@@ -136,18 +136,10 @@ class Schedule:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ValueError("schedule needs at least one entry")
-        t_prev = self.init.time_tag
-        for t, dev in entries:
-            if not math.isfinite(t):
-                raise ValueError(f"schedule time {t} is not finite")
-            if t < t_prev:
-                raise ValueError(
-                    f"schedule times must be non-decreasing and not before "
-                    f"t0={self.init.time_tag}; got {t} after {t_prev}"
-                )
+        _check_times("schedule", (t for t, _ in entries), self.init.time_tag)
+        for _, dev in entries:
             if dev.dim != self.init.dim:
                 raise ValueError(f"device {dev.name!r} dim {dev.dim} != state dim {self.init.dim}")
-            t_prev = t
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -191,8 +183,8 @@ def chain_probability(
 ) -> float:
     """Probability of a projector chain: tr[P_n ... P_1 rho P_1 ... P_n].
 
-    ``steps`` holds (time, reference-time projector) pairs in non-decreasing
-    time order; equal times mean back-to-back application with no propagation
+    ``steps`` holds (time, reference-time projector) pairs under the time rule,
+    with no t0; equal times mean back-to-back application with no propagation
     in between.  This is the diagonal of the bi-probability, taken for one
     chain at a time: a direct coarse readout and the Zeno survival series.
     """
@@ -213,12 +205,9 @@ def bichain_value(
 
 
 def _chain_operator(system: SystemSpec, steps: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+    _check_times("chain", (t for t, _ in steps))
     op = np.eye(system.dim, dtype=complex)
-    t_prev = None
     for t, proj in steps:
-        if t_prev is not None and t < t_prev:
-            raise ValueError("chain times must be non-decreasing")
-        t_prev = t
         (pt,) = _heisenberg(system, (proj,), t)
         op = pt @ op
     return op
@@ -252,18 +241,15 @@ def _leaves(
 ) -> np.ndarray:
     """``W(f) = P_{t_n}(f_n) ... P_{t_1}(f_1) sqrt(rho)`` for every outcome sequence.
 
-    ``steps`` holds (time, reference-time projector family) pairs in
-    non-decreasing time order; the result has shape (N, d, d) with the
+    ``steps`` holds (time, reference-time projector family) pairs under the
+    time rule, with no t0; the result has shape (N, d, d) with the
     sequences in mixed-radix order, first step most significant.
     ``propagator(t) -> U(t, 0)`` replaces the system's own evolution.
     """
     d = system.dim
+    _check_times("chain", (t for t, _ in steps))
     leaves = _sqrt_psd(init.density).reshape(1, d, d)
-    t_prev = None
     for t, projs in steps:
-        if t_prev is not None and t < t_prev:
-            raise ValueError("chain times must be non-decreasing")
-        t_prev = t
         u = core.propagator(system, t) if propagator is None else propagator(t)
         ud = u.conj().T
         # new code = old_code * r + outcome_index

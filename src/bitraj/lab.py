@@ -451,9 +451,8 @@ def estimate_uncertainty(
     mixed state; ``dt = 0`` is the idealized consecutive-projection chain and
     is additionally compared entrywise to the exact overlap matrix.  A second,
     role-swapped run (seed + 1) checks the exchange symmetry of the estimates.
+    Both times follow the schedule time rule, so a negative ``dt`` raises.
     """
-    if dt < 0:
-        raise ValueError("the delay must be non-negative")
     _check_seed(seed, runs=2)
     d = system.dim
     mixed = State(np.eye(d) / d, time_tag=min(0.0, float(t)))

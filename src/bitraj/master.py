@@ -26,6 +26,7 @@ from .core import (
     State,
     SystemSpec,
     _check_hermitian,
+    _check_times,
     _eigen_groups,
     _expm_herm,
     _heisenberg,
@@ -138,22 +139,20 @@ def system_biprob(
     The first coordinate is the initial slot: it appears on both branches of
     the trace, with no density operator anywhere — initial statistics enter
     through the caller's weights.  Index chains are rank-one throughout, so
-    the value reduces to a product of neighbouring-frame overlaps.
+    the value reduces to a product of neighbouring-frame overlaps.  The
+    coordinate times follow the time rule of ``core._check_times`` with no t0.
     """
     coords = tuple(coords)
     if not coords:
         raise ValueError("need at least the initial coordinate")
     if len(eta_plus) != len(coords) or len(eta_minus) != len(coords):
         raise ValueError("one basis index per coordinate on each branch")
-    t_prev = None
+    _check_times("coordinate", (c.time for c in coords))
     for c in coords:
         if c.dim != system.dim:
             raise ValueError(
                 f"coordinate basis dim {c.dim} does not match system dim {system.dim}"
             )
-        if t_prev is not None and c.time < t_prev:
-            raise ValueError("coordinates must be chronological")
-        t_prev = c.time
 
     d = system.dim
 
@@ -421,9 +420,8 @@ def dynamical_map_bitraj(
 
     p_env, v_env = np.linalg.eigh(spec.env_state.density)
     p_env = np.clip(p_env, 0.0, None)
-    env_eig = np.linalg.eigh(spec.environment.hamiltonian)
-    u_env = _expm_herm(*env_eig, dt)
-    u_env_half = _expm_herm(*env_eig, dt / 2.0)
+    u_env = propagator(spec.environment, dt)
+    u_env_half = propagator(spec.environment, dt / 2.0)
     a_full, a_half = (np.empty((d_o * d_e, d_o * d_e), dtype=complex) for _ in range(2))
     for a, step in ((a_full, u_env), (a_half, u_env_half)):
         _sum_in_order([np.kron(su, proj @ step) for su, (_, proj) in zip(slice_u, blocks)], a)
@@ -463,10 +461,9 @@ def two_time_commutator(
     table with the branch products f2+ f1+ minus f1- f2- (plus for the
     anticommutator) — the moment is carried entirely by off-diagonal entries
     in the commutator case.  Both routes are quadratic in the observables, so
-    a deviation beyond ``1e-10 * max(1, ||F1|| ||F2||)`` raises.
+    a deviation beyond ``1e-10 * max(1, ||F1|| ||F2||)`` raises.  The times follow
+    the schedule time rule, so ``t2 == t1`` is a back-to-back readout.
     """
-    if not t2 > t1:
-        raise ValueError("the second observable must be measured strictly later")
     dev1 = device_from_hermitian(obs_f1, name="F1")
     dev2 = device_from_hermitian(obs_f2, name="F2")
     schedule = Schedule(entries=((float(t1), dev1), (float(t2), dev2)), init=state)

@@ -23,6 +23,7 @@ from .core import (
     Label,
     State,
     SystemSpec,
+    _check_times,
     _fine_basis_columns,
     _heisenberg,
     _within,
@@ -145,14 +146,14 @@ def markov_delta(
     For a perfectly fine-grained device the chain factorizes through its
     nearest-neighbour conditionals regardless of the Hamiltonian; a coarse
     readout (any projector of rank two or more) generically breaks the
-    factorization, and the returned delta measures by how much.
+    factorization, and the returned delta measures by how much.  The times
+    follow the time rule of ``core._check_times`` with the init time as t0.
     """
     ts = tuple(float(t) for t in times)
     n = len(ts)
     if n < 2:
         raise ValueError("need at least two measurement times")
-    if ts[0] < init.time:
-        raise ValueError(f"time {ts[0]!r} is before the init time {init.time!r}")
+    _check_times("markov", ts, init.time)
     state = init_metric(init, system)
     r = device.n_outcomes
 

@@ -1232,6 +1232,18 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         # the first time is 0.5
         ("markov", ("init", "time"), float(np.nextafter(0.5, 1.0)), "/params/times/0"),
         ("markov", ("init", "time"), 5.0, "/params/times/0"),
+        # entry 1 at 0.5 is before entry 0 at 1.0
+        *(
+            (base, ("schedule", "entries", 1, "time"), 0.5, "/schedule/entries/1/time")
+            for base in ("table", "zx", "coarse", "sample", "classical")
+        ),
+        (
+            "compose",
+            ("composite", "b", "schedule", "entries", 1, "time"),
+            0.5,
+            "/composite/b/schedule/entries/1/time",
+        ),
+        ("zx", ("init", "time"), 1.5, "/schedule/entries/0/time"),
         ("zeno", ("params", "T"), -1, "/params/T"),
         ("coarse", ("params", "position"), 2, "/params/position"),
         # every entry is finite, but the largest eigenvalue, 2e308, is not
@@ -1281,6 +1293,13 @@ def test_an_uncertainty_seed_without_n_samples_exits_two(tmp_path, capsys):
         "markov-times-out-of-order",
         "markov-time-1-ulp-before-the-init-time",
         "markov-times-before-the-init-time",
+        "table-entry-1-before-entry-0",
+        "verify-entry-1-before-entry-0",
+        "coarse-entry-1-before-entry-0",
+        "sample-entry-1-before-entry-0",
+        "classical-entry-1-before-entry-0",
+        "compose-b-entry-1-before-entry-0",
+        "verify-init-time-after-entry-0",
         "zeno-negative-T",
         "position-past-the-schedule",
         "hamiltonian-spectrum-overflows",
@@ -1357,20 +1376,25 @@ def test_markov_reads_a_first_time_before_zero_from_there(tmp_path):
 
 
 def test_map_compare_eigensolves_the_joint_system_once(tmp_path, monkeypatch):
-    # a qutrit environment, so that only the joint system is 6 x 6
+    # a qutrit environment, so that only the joint system is 6 x 6; the environment's
+    # Hamiltonian is the only zero 3 x 3 matrix the verb diagonalizes, and it is
+    # diagonalized once too
     cfg = _mutated(PINNED_BASES["map"], ("environment",), {"dim": 3, "hamiltonian": mat(np.zeros((3, 3)))})
     cfg = _mutated(cfg, COUPLING_ENV + ("op_environment",), mat(np.diag([1.0, 0.0, -1.0])))
     cfg = _mutated(cfg, ("env_init", "density"), mat(np.eye(3) / 3))
-    eigh, sizes = np.linalg.eigh, []
+    eigh, solved = np.linalg.eigh, []
 
     def counted(a, *args, **kwargs):
-        sizes.append(np.shape(a))
+        if np.shape(a) == (6, 6):
+            solved.append("joint")
+        elif np.shape(a) == (3, 3) and not np.any(a):
+            solved.append("environment")
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     code, _, _ = run(tmp_path, "map-compare", cfg)
     assert code == 0
-    assert sizes.count((6, 6)) == 1
+    assert (solved.count("joint"), solved.count("environment")) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -388,6 +389,90 @@ def test_chains_reject_a_decreasing_time():
         chain_probability(QUBIT_FREE, UP_STATE, [(2.0, UP), (1.0, PX)])
     with pytest.raises(ValueError, match="chain times must be non-decreasing"):
         chain_probabilities(QUBIT_FREE, UP_STATE, [(2.0, [UP, DN]), (1.0, [PX, MX])])
+
+
+def _time_readers() -> dict:
+    """Every library entry point that reads a list of times, as ``call(times, t0)`` with
+    two times, the name its messages give the times, and whether it takes a ``t0``."""
+    from bitraj import (
+        CoarseSchedule,
+        CoordTau,
+        InitSpec,
+        estimate_uncertainty,
+        markov_delta,
+        system_biprob,
+        two_time_commutator,
+    )
+
+    system = SystemSpec(dim=2, hamiltonian=0.7 * SX + 0.2 * SZ)
+
+    def schedule(ts, t0):
+        return Schedule(tuple(zip(ts, (DEVZ, DEVX))), State(UP, time_tag=t0))
+
+    return {
+        "Schedule": (schedule, "schedule", True),
+        "CoarseSchedule": (
+            lambda ts, t0: CoarseSchedule(
+                tuple((t, dev, None) for t, dev in zip(ts, (DEVZ, DEVX))), State(UP, time_tag=t0)
+            ),
+            "schedule",
+            True,
+        ),
+        "chain_probability": (
+            lambda ts, t0: chain_probability(system, UP_STATE, list(zip(ts, (UP, PX)))),
+            "chain",
+            False,
+        ),
+        "chain_probabilities": (
+            lambda ts, t0: chain_probabilities(system, UP_STATE, list(zip(ts, ([UP, DN], [PX, MX])))),
+            "chain",
+            False,
+        ),
+        "biprob": (
+            lambda ts, t0: biprob(system, schedule(ts, t0), BiSequence(("u", "+"), ("d", "-"))),
+            "schedule",
+            True,
+        ),
+        "system_biprob": (
+            lambda ts, t0: system_biprob(system, [CoordTau(t, np.eye(2)) for t in ts], (0, 1), (1, 0)),
+            "coordinate",
+            False,
+        ),
+        "markov_delta": (
+            lambda ts, t0: markov_delta(system, DEVZ, ts, InitSpec(((DEVZ, "u", 1.0),), time=t0)),
+            "markov",
+            True,
+        ),
+        "two_time_commutator": (
+            lambda ts, t0: two_time_commutator(system, SZ, SX, ts[1], ts[0], State(UP, time_tag=t0)),
+            "schedule",
+            True,
+        ),
+        # its init is the maximally mixed state at min(0, t), so no time is before it
+        "estimate_uncertainty": (
+            lambda ts, t0: estimate_uncertainty(system, DEVZ, DEVX, ts[0], ts[1] - ts[0], 10, 0),
+            "schedule",
+            False,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_time_readers()))
+def test_every_time_reader_follows_the_one_time_rule(name):
+    call, what, takes_t0 = _time_readers()[name]
+    call((1.0, 1.0), 0.0)  # equal times are back-to-back readouts
+    shown_t0 = " and not before t0=0.0" if what in ("schedule", "markov") else ""
+    decreasing = f"{what} times must be non-decreasing{shown_t0}; got 1.0 after 2.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(decreasing)}$"):
+        call((2.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match=f"^{what} time nan is not finite$"):
+        call((1.0, math.nan), 0.0)
+    if takes_t0:
+        call((1.0, 2.0), 1.0)  # the first time may equal t0
+        early = np.nextafter(1.0, 0.0)
+        before_t0 = f"{what} times must be non-decreasing and not before t0=1.0; got {early} after 1.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(before_t0)}$"):
+            call((early, 2.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

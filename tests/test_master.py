@@ -127,7 +127,7 @@ def test_system_biprob_rejects_decreasing_times():
 def test_system_biprob_compares_times_exactly():
     sys2 = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
     at = lambda t: CoordTau(t, np.eye(2, dtype=complex))  # noqa: E731
-    with pytest.raises(ValueError, match="chronological"):
+    with pytest.raises(ValueError, match="coordinate times must be non-decreasing"):
         system_biprob(sys2, [at(1.0), at(np.nextafter(1.0, 0.0))], (0, 0), (0, 0))
     assert system_biprob(sys2, [at(1.0), at(1.0)], (0, 0), (0, 0)) == 1.0
 
@@ -446,6 +446,27 @@ def test_anticommutator_moment():
 def test_commutator_requires_time_order():
     with pytest.raises(ValueError):
         two_time_commutator(RABI, SX, SX, 0.3, 0.5, UP_STATE)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_commutator_at_equal_times_passes_its_route_gate(dim):
+    # back-to-back readouts: the table route meets the equal-time commutator [F2, F1](t)
+    rng = np.random.default_rng(1500 + dim)
+
+    def herm():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return 0.5 * (a + a.conj().T)
+
+    system = SystemSpec(dim=dim, hamiltonian=herm())
+    f2, f1 = herm(), herm()
+    u = np.linalg.qr(herm())[0]
+    state = State((u * rng.dirichlet(np.ones(dim))) @ u.conj().T)
+    moments = [
+        two_time_commutator(system, f2, f1, 0.9, 0.9, state, anticommutator)
+        for anticommutator in (False, True)
+    ]
+    assert max(abs(m.direct - m.from_biprob) for m in moments) <= 1e-12
+    assert abs(moments[0].direct) > 1e-3  # F1 and F2 do not commute
 
 
 @pytest.mark.parametrize("seed", range(4))

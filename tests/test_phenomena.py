@@ -134,7 +134,7 @@ def test_markov_needs_two_times():
 def test_markov_refuses_a_time_before_the_init_time():
     system = SystemSpec(dim=2, hamiltonian=np.zeros((2, 2)))
     init = InitSpec(entries=((DEVZ, "u", 1.0),), time=1.0)
-    with pytest.raises(ValueError, match="before the init time"):
+    with pytest.raises(ValueError, match="markov times must be non-decreasing and not before t0=1.0"):
         markov_delta(system, DEVZ, [np.nextafter(1.0, 0.0), 2.0], init)
     assert markov_delta(system, DEVZ, [1.0, 2.0], init).delta <= 1e-12
 
